@@ -64,8 +64,15 @@ def parse_complex_text(text):
 
 
 def parse_complex(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_complex_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ComplexParseError(
+            f"{path}: not valid UTF-8 (byte 0x{data[exc.start]:02x} at offset {exc.start})"
+        ) from None
+    return parse_complex_text(text)
 
 
 def _group_json(g):
@@ -286,10 +293,11 @@ def cmd_verify(args):
         checks = sweep.ALL_CHECKS
     try:
         cfg = sweep.SweepConfig(args.max_vertices, args.iso_dedup, checks)
+        workers = sweep.workers_from_environment()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = sweep.run_sweep(cfg)
+    report = sweep.run_sweep(cfg, workers)
     if args.json:
         print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
     else:

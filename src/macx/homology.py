@@ -1,8 +1,11 @@
 """Exact integral simplicial homology and the full-subcomplex decompositions.
 
 Homology of a complex is computed from its boundary matrices by Smith normal
-form over arbitrary-precision integers (exactness over speed; the complexes
-here are tiny). On top of that sit the two sweeps over full subcomplexes:
+form over arbitrary-precision integers, never modulo a prime or in floating
+point. One kernel, ``sparse_rank_invariants``, does every elimination: it
+removes +-1 pivots on sparse rows, which clears nearly all of a boundary
+matrix, and runs a dense Smith form only on the unit-free residual. On top of
+that sit the two sweeps over full subcomplexes:
 ``homology_R`` assembles H_*(R_K) for the real moment-angle complex from
 H~_{k-1}(K_J) over all vertex subsets J, and ``bigraded_homology_Z`` fills the
 bigraded table H_{-i,2j}(Z_K) of the moment-angle complex from H~_{j-i-1}(K_J)
@@ -126,19 +129,109 @@ def smith_normal_form(M):
     """Diagonal (d_1 | d_2 | ...) of the Smith normal form of M and its rank.
 
     Only the nonzero diagonal entries are returned; transformation matrices
-    are not computed.
+    are not computed. The matrix goes through ``sparse_rank_invariants``, the
+    one elimination path.
     """
-    mat = [list(r) for r in M.entries]
+    columns = [
+        {i: row[j] for i, row in enumerate(M.entries) if row[j]} for j in range(M.cols)
+    ]
+    rank, diag = sparse_rank_invariants(columns)
+    return diag, rank
+
+
+def sparse_rank_invariants(columns):
+    """Rank and SNF diagonal of a matrix given as sparse columns.
+
+    Each column is a dict {row index: coefficient}; zero coefficients are
+    ignored. The diagonal is returned as a divisibility chain, its units
+    first.
+
+    Phase 1 eliminates unit pivots on sparse rows ``{row: {col: coeff}}``.
+    It picks a +-1 entry in a short column, taking the shortest row that
+    holds a unit there, subtracts multiples of the pivot row from the other
+    rows of that column and drops the pivot row and column. Each step is
+    unimodular: the row operations are, and since the pivot is now alone in
+    its column, column operations by a unit clear the rest of its row
+    without touching any other row. So the step splits off a diagonal 1 and
+    leaves the invariant factors of the rest unchanged. Boundary and
+    dg-algebra matrices are sparse with nearly all pivots +-1, so this phase
+    usually empties them.
+
+    Phase 2 hands the residual, which has no unit entry left, densely to
+    ``_snf_diagonal``. Only its nonzero rows and columns are densified.
+    """
+    rows = {}
+    col_rows = {}
+    for j, col in enumerate(columns):
+        held = set()
+        for r, a in col.items():
+            if a:
+                held.add(r)
+                row = rows.get(r)
+                if row is None:
+                    rows[r] = {j: a}
+                else:
+                    row[j] = a
+        if held:
+            col_rows[j] = held
+    ones = 0
+    progress = True
+    while progress:
+        progress = False
+        for j in sorted(col_rows, key=lambda c: len(col_rows[c])):
+            held = col_rows.get(j)
+            if held is None:
+                continue
+            pivot = None
+            best = None
+            for r in held:
+                row = rows[r]
+                if row[j] in (1, -1) and (best is None or len(row) < best):
+                    pivot, best = r, len(row)
+            if pivot is None:
+                continue
+            del col_rows[j]
+            prow = rows.pop(pivot)
+            unit = prow.pop(j)
+            for c in prow:
+                col_rows[c].discard(pivot)
+            for i in held:
+                if i == pivot:
+                    continue
+                row = rows[i]
+                f = row.pop(j) * unit
+                for c, v in prow.items():
+                    w = row.get(c, 0) - f * v
+                    if w:
+                        if c not in row:
+                            col_rows[c].add(i)
+                        row[c] = w
+                    else:
+                        del row[c]
+                        col_rows[c].discard(i)
+                if not row:
+                    del rows[i]
+            for c in prow:
+                if not col_rows[c]:
+                    del col_rows[c]
+            ones += 1
+            progress = True
+    if not col_rows:
+        return ones, (1,) * ones
+    live = sorted(col_rows)
+    mat = [[row.get(c, 0) for c in live] for _, row in sorted(rows.items())]
     diag = _snf_diagonal(mat)
-    return tuple(diag), len(diag)
+    return ones + len(diag), (1,) * ones + tuple(diag)
 
 
 def _snf_diagonal(mat):
     """In-place SNF on a list-of-rows matrix; returns the nonzero diagonal.
 
+    This is the dense residual step of ``sparse_rank_invariants``: it sees
+    only what the unit-pivot phase leaves, a matrix with no +-1 entry.
     Pivots are chosen with smallest absolute value to limit coefficient
-    growth; a +-1 pivot (the usual case for boundary matrices) short-circuits
-    the divisibility bookkeeping.
+    growth; a +-1 pivot that elimination produces short-circuits the
+    divisibility bookkeeping.
     """
     nr = len(mat)
     nc = len(mat[0]) if mat else 0
@@ -234,27 +327,6 @@ def _find_pivot(mat, t, nr, nc):
                     if a == 1:
                         return best
     return best
-
-
-def sparse_rank_invariants(columns):
-    """Rank and SNF diagonal of a matrix given as sparse columns.
-
-    Each column is a dict {row index: coefficient}. All-zero rows and columns
-    are projected away before the dense elimination, which keeps the boundary
-    matrices of graded algebras tractable: their nonzero part is tiny compared
-    to the ambient basis.
-    """
-    live = [c for c in columns if c]
-    if not live:
-        return 0, ()
-    touched = sorted({r for c in live for r in c})
-    index = {r: k for k, r in enumerate(touched)}
-    mat = [[0] * len(live) for _ in touched]
-    for j, col in enumerate(live):
-        for r, a in col.items():
-            mat[index[r]][j] = a
-    diag = _snf_diagonal(mat)
-    return len(diag), tuple(diag)
 
 
 # -- boundary matrices and reduced homology --------------------------------

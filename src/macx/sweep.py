@@ -250,12 +250,21 @@ def _range_worker(args):
     return _run_range(*args)
 
 
+def workers_from_environment():
+    """Worker count from the MACX_THREADS environment variable: 1 if unset or
+    empty, else a positive integer (ValueError otherwise)."""
+    raw = os.environ.get("MACX_THREADS") or "1"
+    if not (raw.isascii() and raw.isdigit() and int(raw) >= 1):
+        raise ValueError(f"MACX_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 def run_sweep(cfg, workers=None):
     """Run the configured checks over every flag complex on 1..max_vertices
-    vertices. Worker count defaults to the MACX_THREADS environment variable
-    (1 if unset); results are schedule-independent."""
+    vertices. Worker count defaults to ``workers_from_environment()``;
+    results are schedule-independent."""
     if workers is None:
-        workers = int(os.environ.get("MACX_THREADS", "1") or 1)
+        workers = workers_from_environment()
     jobs = []
     for n in range(1, cfg.max_vertices + 1):
         total = 1 << len(_edge_list(n))

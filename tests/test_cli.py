@@ -141,6 +141,18 @@ def test_analyze_missing_file():
     assert main(["analyze", "/nonexistent/thing.cx"]) == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "generators"])
+def test_non_utf8_file_is_an_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.cx"
+    path.write_bytes(b"vertices 3\nfacet 1 2 \xff\n")
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {path}: not valid UTF-8 (byte 0xff at offset 21)\n"
+    )
+
+
 # -- other subcommands ----------------------------------------------------------
 
 
@@ -196,6 +208,27 @@ def test_verify_theorems_clean(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["complexes_checked"] == 75
     assert data["counterexamples"] == []
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "0", "2.5", " 2", "\u00b2"])
+def test_verify_theorems_rejects_bad_thread_count(monkeypatch, capsys, value):
+    monkeypatch.setenv("MACX_THREADS", value)
+    assert main(["verify-theorems", "--max-vertices", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: MACX_THREADS must be a positive integer, got {value!r}\n"
+    )
+
+
+@pytest.mark.parametrize("value", [None, "", "1", "2"])
+def test_verify_theorems_thread_count_default_and_valid(monkeypatch, capsys, value):
+    if value is None:
+        monkeypatch.delenv("MACX_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("MACX_THREADS", value)
+    assert main(["verify-theorems", "--max-vertices", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["complexes_checked"] == 11
 
 
 def test_verify_theorems_counterexample_exit(monkeypatch, capsys):

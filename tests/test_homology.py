@@ -114,26 +114,34 @@ def test_snf_examples():
 
 def test_snf_against_determinantal_divisors():
     # product of the first k invariant factors = gcd of all k x k minors
-    from itertools import combinations
-    from math import gcd
-
     rng = random.Random(4242)
     for _ in range(40):
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 5)
         mat = [[rng.randrange(-6, 7) for _ in range(cols)] for _ in range(rows)]
         diag, rank = smith_normal_form(IntMatrix.from_rows(mat))
-        running = 1
-        for k in range(1, min(rows, cols) + 1):
-            divisor = 0
-            for rsel in combinations(range(rows), k):
-                for csel in combinations(range(cols), k):
-                    divisor = gcd(divisor, _det([[mat[r][c] for c in csel] for r in rsel]))
-            if divisor == 0:
-                assert rank < k
-                break
-            running *= diag[k - 1]
-            assert running == divisor
+        _assert_determinantal_divisors(mat, diag, rank)
+
+
+def _assert_determinantal_divisors(mat, diag, rank):
+    from itertools import combinations
+    from math import gcd
+
+    rows = len(mat)
+    cols = len(mat[0]) if mat else 0
+    running = 1
+    for k in range(1, min(rows, cols) + 1):
+        divisor = 0
+        for rsel in combinations(range(rows), k):
+            for csel in combinations(range(cols), k):
+                divisor = gcd(divisor, _det([[mat[r][c] for c in csel] for r in rsel]))
+        if divisor == 0:
+            assert rank < k
+            break
+        running *= diag[k - 1]
+        assert running == divisor
+    else:
+        assert rank == min(rows, cols)
 
 
 def _det(m):
@@ -159,6 +167,107 @@ def test_snf_against_rational_rank_on_random_matrices():
         # determinant of invariant factors detects every prime's rank drop
         for p in (2, 3, 5, 7):
             assert rank_mod_p(mat, p) == sum(1 for d in diag if d % p)
+
+
+def _columns(mat, rng=None):
+    """Sparse columns {row: coefficient} of a dense matrix; with an rng, some
+    zero coefficients are kept as explicit entries."""
+    cols = len(mat[0]) if mat else 0
+    out = []
+    for j in range(cols):
+        col = {}
+        for i, row in enumerate(mat):
+            if row[j] or (rng is not None and rng.random() < 0.2):
+                col[i] = row[j]
+        out.append(col)
+    return out
+
+
+def _random_sparse(rng, rows, cols):
+    """Mostly +-1 entries with some non-units, zero columns and duplicate rows."""
+    mat = [[0] * cols for _ in range(rows)]
+    density = rng.choice((0.2, 0.4, 0.7))
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < density:
+                mat[i][j] = rng.choice((1, -1, 1, -1, 2, -2, 3, -4, 6))
+    for j in rng.sample(range(cols), min(cols, rng.randrange(0, 3))):
+        for row in mat:
+            row[j] = 0
+    for _ in range(rng.randrange(0, 3)):
+        if rows > 1:
+            src, dst = rng.sample(range(rows), 2)
+            mat[dst] = list(mat[src])
+    return mat
+
+
+def test_sparse_rank_invariants_empty_and_zero():
+    assert homology.sparse_rank_invariants([]) == (0, ())
+    assert homology.sparse_rank_invariants([{}, {}, {3: 0}]) == (0, ())
+    assert homology.sparse_rank_invariants([{}, {5: -1}, {}]) == (1, (1,))
+
+
+def test_sparse_rank_invariants_against_field_ranks():
+    rng = random.Random(2024)
+    for _ in range(150):
+        rows = rng.randrange(1, 9)
+        cols = rng.randrange(1, 9)
+        mat = _random_sparse(rng, rows, cols)
+        rank, diag = homology.sparse_rank_invariants(_columns(mat, rng))
+        assert rank == len(diag) == rank_over_q(mat)
+        assert all(d > 0 for d in diag)
+        for a, b in zip(diag, diag[1:]):
+            assert b % a == 0
+        for p in (2, 3, 5, 7):
+            assert rank_mod_p(mat, p) == sum(1 for d in diag if d % p)
+        assert smith_normal_form(IntMatrix.from_rows(mat)) == (diag, rank)
+
+
+def test_sparse_rank_invariants_against_determinantal_divisors():
+    rng = random.Random(77)
+    for _ in range(80):
+        rows = rng.randrange(1, 5)
+        cols = rng.randrange(1, 5)
+        mat = _random_sparse(rng, rows, cols)
+        rank, diag = homology.sparse_rank_invariants(_columns(mat))
+        _assert_determinantal_divisors(mat, diag, rank)
+
+
+def test_sparse_rank_invariants_unit_free_residual(monkeypatch):
+    # M = [[U, 0], [B, C]] with U unimodular, so SNF(M) = (1, 1, 1) + SNF(C).
+    # C holds a circulant of determinant 9 and the block 2I, and B couples
+    # the unit columns to C's rows; rows and columns are then permuted. The
+    # unit phase must leave a residual with no +-1 entry, which carries the
+    # torsion 2 and 18 into the dense step.
+    residuals = []
+    dense = homology._snf_diagonal
+
+    def spy(mat):
+        residuals.append([list(r) for r in mat])
+        return dense(mat)
+
+    monkeypatch.setattr(homology, "_snf_diagonal", spy)
+    block = [
+        [1, 1, 0, 0, 0, 0, 0, 0],
+        [0, -1, 1, 0, 0, 0, 0, 0],
+        [0, 0, 1, 0, 0, 0, 0, 0],
+        [1, 0, 3, 2, 1, 0, 0, 0],
+        [0, -1, 0, 0, 2, 1, 0, 0],
+        [0, 0, 0, 1, 0, 2, 0, 0],
+        [-1, 0, 0, 0, 0, 0, 2, 0],
+        [0, 2, 1, 0, 0, 0, 0, 2],
+    ]
+    row_order = (5, 0, 7, 3, 1, 6, 2, 4)
+    col_order = (6, 3, 0, 7, 4, 1, 5, 2)
+    mat = [[block[i][j] for j in col_order] for i in row_order]
+    rank, diag = homology.sparse_rank_invariants(_columns(mat))
+    assert (rank, diag) == (8, (1, 1, 1, 1, 1, 1, 2, 18))
+    assert len(residuals) == 1 and residuals[0]
+    assert all(abs(a) != 1 for row in residuals[0] for a in row)
+    assert smith_normal_form(IntMatrix.from_rows(mat)) == (diag, rank)
+    assert rank == rank_over_q(mat)
+    for p in (2, 3, 5, 7):
+        assert rank_mod_p(mat, p) == sum(1 for d in diag if d % p)
 
 
 def test_projective_plane_torsion():
