@@ -14,6 +14,7 @@ from .simplicial import (
     is_chordal,
     is_cycle,
     is_flag,
+    is_minimally_non_chordal,
     join,
     link,
     one_skeleton,
@@ -27,6 +28,7 @@ from .homology import (
     bigraded_homology_Z,
     boundary_matrix,
     homology_R,
+    homology_R_and_Z,
     reduced_homology,
     smith_normal_form,
 )

@@ -8,7 +8,10 @@ complex. The exhaustive sweeps in :mod:`macx.sweep` assert that the two
 routes never disagree.
 
 All group/algebra classifiers refuse non-flag input outright, since the
-underlying equivalences are stated for flag complexes only.
+underlying equivalences are stated for flag complexes only. A flag complex
+is the clique complex of its 1-skeleton, so past that check the flag-only
+properties are read off the graph (Golodness is chordality, minimal
+non-Golodness minimal non-chordality) and no subcomplex is rebuilt.
 """
 
 from __future__ import annotations
@@ -92,16 +95,10 @@ def golod_flag(K):
 
 
 def minimally_non_golod_flag(K):
-    """Not Golod, but Golod after deleting any single vertex."""
+    """Not Golod, but Golod after deleting any single vertex: deleting a vertex
+    of a flag complex deletes it from the graph, so this is read off there."""
     _require_flag(K)
-    if golod_flag(K):
-        return False
-    for v in K.labels:
-        rest = [u for u in K.labels if u != v]
-        deleted = simplicial.full_subcomplex(K, rest)
-        if not simplicial.is_chordal(simplicial.one_skeleton(deleted)):
-            return False
-    return True
+    return simplicial.is_minimally_non_chordal(simplicial.one_skeleton(K))
 
 
 def surface_genus(p):

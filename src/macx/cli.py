@@ -40,7 +40,7 @@ def parse_complex_text(text):
         if parts[0] == "vertices":
             if vertices is not None:
                 raise ComplexParseError("duplicate vertices header", lineno)
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not parts[1].isdecimal():
                 raise ComplexParseError("expected 'vertices m'", lineno)
             vertices = int(parts[1])
             if vertices > MAX_VERTICES:
@@ -89,10 +89,9 @@ def _bigraded_json(table):
 
 def analyze(K, name="complex", truncate=12):
     """Assemble the full analysis payload for one complex (plain data)."""
-    per_subset = homology._per_subset_groups(K)
-    groups = homology._assemble_R(K, per_subset)
-    table = homology._assemble_Z(K, per_subset)
+    groups, table = homology.homology_R_and_Z(K)
     report = classify.build_report(K, groups, table)
+    words = enumerate_rendered(K, generators.GROUP)
     out = {
         "complex": name,
         "vertices": K.m,
@@ -113,8 +112,8 @@ def analyze(K, name="complex", truncate=12):
         "genus": report.genus,
         "witnesses": {k: list(v) if isinstance(v, tuple) else v
                       for k, v in report.witnesses.items()},
-        "generator_count": generators.generator_count(K),
-        "generators_group": enumerate_rendered(K, generators.GROUP),
+        "generator_count": len(words),
+        "generators_group": words,
         "generators_algebra": enumerate_rendered(K, generators.ALGEBRA),
         "H_R": _homology_list_json(groups),
         "H_Z_bigraded": _bigraded_json(table),
@@ -180,13 +179,12 @@ def cmd_analyze(args):
     if args.truncate < 0:
         print("error: --truncate must be nonnegative", file=sys.stderr)
         return 1
+    name = os.path.splitext(os.path.basename(args.file))[0]
     try:
-        K = parse_complex(args.file)
-    except (OSError, ComplexParseError) as exc:
+        data = analyze(parse_complex(args.file), name=name, truncate=args.truncate)
+    except (OSError, ValueError) as exc:  # ValueError covers ComplexParseError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    name = os.path.splitext(os.path.basename(args.file))[0]
-    data = analyze(K, name=name, truncate=args.truncate)
     if args.json:
         print(json.dumps(data, sort_keys=True, indent=2))
     else:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import simplicial
-from .simplicial import _bits
+from .simplicial import bits
 
 GROUP = "group"
 ALGEBRA = "algebra"
@@ -113,7 +113,7 @@ def enumerate_generators(K, kind=GROUP):
             if comp >> jpos & 1:
                 continue
             ipos = (comp & -comp).bit_length() - 1
-            prefix = tuple(labels[b] for b in _bits(rest & ~(1 << ipos)))
+            prefix = tuple(labels[b] for b in bits(rest & ~(1 << ipos)))
             words.append(CommutatorWord(kind, prefix, labels[jpos], labels[ipos]))
     return GeneratorSet(tuple(words))
 

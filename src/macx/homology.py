@@ -9,7 +9,8 @@ that sit the two sweeps over full subcomplexes:
 ``homology_R`` assembles H_*(R_K) for the real moment-angle complex from
 H~_{k-1}(K_J) over all vertex subsets J, and ``bigraded_homology_Z`` fills the
 bigraded table H_{-i,2j}(Z_K) of the moment-angle complex from H~_{j-i-1}(K_J)
-over subsets of size j.
+over subsets of size j. ``homology_R_and_Z`` returns both from a single walk
+over the subsets; callers that need both use it.
 
 Reduced homology of subcomplexes is memoized by their face-mask tuple, which
 is what makes exhaustive sweeps over all graphs on six vertices affordable:
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .simplicial import _bits
+from .simplicial import bits
 
 
 def _factorize(n):
@@ -345,7 +346,7 @@ def boundary_matrix(K, k):
     index = {f: i for i, f in enumerate(targets)}
     rows = [[0] * len(sources) for _ in targets]
     for j, f in enumerate(sources):
-        for r, b in enumerate(_bits(f)):
+        for r, b in enumerate(bits(f)):
             rows[index[f & ~(1 << b)]][j] = -1 if r % 2 else 1
     return IntMatrix.from_rows(rows)
 
@@ -407,7 +408,7 @@ def _reduced_groups_impl(faces):
         cols = []
         for f in sorted(levels[k]):
             col = {}
-            for r, b in enumerate(_bits(f)):
+            for r, b in enumerate(bits(f)):
                 col[index[f & ~(1 << b)]] = -1 if r % 2 else 1
             cols.append(col)
         rank, diag = sparse_rank_invariants(cols)
@@ -522,6 +523,13 @@ def _assemble_Z(K, per_subset):
 def bigraded_homology_Z(K):
     """The table H_{-i,2j}(Z_K) = direct sum over |J| = j of H~_{j-i-1}(K_J)."""
     return _assemble_Z(K, _per_subset_groups(K))
+
+
+def homology_R_and_Z(K):
+    """H_*(R_K) and the bigraded table of H(Z_K), from one walk over the full
+    subcomplexes."""
+    per_subset = _per_subset_groups(K)
+    return _assemble_R(K, per_subset), _assemble_Z(K, per_subset)
 
 
 def betti_Z(K):

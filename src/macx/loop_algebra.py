@@ -18,6 +18,10 @@ from .homology import sparse_rank_invariants
 
 _BASIS_BUDGET = 200_000
 
+# Largest connected sum mcgavran builds. A p-cycle gives (p-4) * 2^(p-3) + 1
+# summands: 2,097,153 at p = 20, 4,456,449 at p = 21.
+MAX_SUMMANDS = 1 << 22
+
 
 @dataclass(frozen=True)
 class SphereProductSum:
@@ -65,6 +69,11 @@ def mcgavran(p):
     multiplicity (k-2) * C(p-2, k-1); the total dimension is p + 2."""
     if p < 4:
         raise ValueError(f"cycle length must be at least 4, got {p}")
+    # the first test keeps the count itself from growing with p
+    if p - 3 > MAX_SUMMANDS.bit_length() or (p - 4) << (p - 3) >= MAX_SUMMANDS:
+        raise ValueError(
+            f"cycle length {p} gives more than {MAX_SUMMANDS} sphere-product summands"
+        )
     pairs = []
     for k in range(3, p):
         pairs.extend([k] * ((k - 2) * comb(p - 2, k - 1)))
@@ -336,6 +345,8 @@ class DGAHomology:
 def dga_homology_ranks(A, n):
     """Homology of the dg algebra through degree n, one integer Smith normal
     form per degree over the monomial basis."""
+    if n < 0:
+        raise ValueError("truncation must be nonnegative")
     rank_d = [0] * (n + 2)
     invariants = [()] * (n + 2)
     dims = [len(A.basis(k)) for k in range(n + 2)]

@@ -23,7 +23,7 @@ REASON_CYCLE_TOO_SHORT = "cycle_too_short"
 REASON_CONE_NOT_UNIVERSAL = "cone_not_universal"
 
 
-def _bits(mask):
+def bits(mask):
     """Yield the set bit positions of mask, ascending."""
     while mask:
         low = mask & -mask
@@ -185,7 +185,7 @@ class SimplicialComplex:
         return mask
 
     def labels_of(self, mask):
-        return tuple(self.labels[i] for i in _bits(mask))
+        return tuple(self.labels[i] for i in bits(mask))
 
     def has_face(self, subset):
         try:
@@ -213,13 +213,29 @@ class SimplicialComplex:
                 adj[b] |= 1 << a
         return tuple(adj)
 
+    @cached_property
+    def flag_check(self):
+        """Whether every missing face has exactly two vertices.
+
+        Works level by level: if all cliques of the 1-skeleton with at most k
+        vertices are faces, any (k+1)-clique that is not a face is a missing
+        face of size >= 3 and is returned as the witness.
+        """
+        level = [f for f in self.face_masks if f.bit_count() == 2]
+        while level:
+            level = list(_clique_extensions(self.adjacency, level))
+            for f in level:
+                if f not in self.face_masks:
+                    return CheckResult(False, self.labels_of(f))
+        return CheckResult(True)
+
 
 def _maximal_masks(faces, m):
     """Faces with no proper superset in the family."""
     out = []
     for f in faces:
         cofree = ~f & ((1 << m) - 1)
-        if not any((f | (1 << i)) in faces for i in _bits(cofree)):
+        if not any((f | (1 << i)) in faces for i in bits(cofree)):
             out.append(f)
     return out
 
@@ -267,12 +283,24 @@ class Graph:
     def edges(self):
         out = []
         for i in range(self.m):
-            for j in _bits(self.adj[i] >> (i + 1) << (i + 1)):
+            for j in bits(self.adj[i] >> (i + 1) << (i + 1)):
                 out.append((self.labels[i], self.labels[j]))
         return out
 
     def edge_count(self):
         return sum(a.bit_count() for a in self.adj) // 2
+
+    def induced(self, mask):
+        """The subgraph induced on a position bitmask."""
+        return Graph(
+            tuple(self.labels[i] for i in bits(mask)),
+            tuple(_compress(self.adj[i], mask) for i in bits(mask)),
+        )
+
+    def universal_mask(self):
+        """Bitmask of the vertices adjacent to every other vertex."""
+        full = self.full_mask
+        return sum(1 << i for i, a in enumerate(self.adj) if a == full & ~(1 << i))
 
     def component_masks(self, within=None):
         """Connected component bitmasks of the subgraph induced on ``within``
@@ -284,7 +312,7 @@ class Graph:
             frontier = comp
             while frontier:
                 nxt = 0
-                for i in _bits(frontier):
+                for i in bits(frontier):
                     nxt |= self.adj[i]
                 frontier = nxt & remaining & ~comp
                 comp |= frontier
@@ -296,70 +324,44 @@ class Graph:
 # -- operations -----------------------------------------------------------
 
 
+def _compress(mask, kept):
+    """The bits of mask that lie in kept, renumbered by their rank among the
+    bits of kept."""
+    out = 0
+    for new, old in enumerate(bits(kept)):
+        out |= (mask >> old & 1) << new
+    return out
+
+
+def _on_support(K, faces):
+    """The complex of the given faces of K (a downward-closed family), on the
+    vertices they cover."""
+    support = 0
+    for f in faces:
+        support |= f
+    return SimplicialComplex._from_faces(
+        K.labels_of(support), {_compress(f, support) for f in faces}
+    )
+
+
 def full_subcomplex(K, subset):
     """The full subcomplex K_J: all faces of K contained in the vertex set J."""
-    J = tuple(sorted(set(subset)))
-    for v in J:
-        if v not in K._positions:
-            raise ValueError(f"vertex {v} not in complex")
-    jmask = K.mask_of(J)
-    remap = {old: new for new, old in enumerate(_bits(jmask))}
-    keep = ~jmask
-    faces = set()
-    for f in K.face_masks:
-        if f & keep == 0:
-            g = 0
-            for b in _bits(f):
-                g |= 1 << remap[b]
-            faces.add(g)
-    return SimplicialComplex._from_faces(J, faces)
+    keep = ~K.mask_of(subset)
+    return _on_support(K, [f for f in K.face_masks if f & keep == 0])
 
 
 def link(K, j):
     """lk_K(j): faces I with j not in I and I + j a face of K."""
-    p = K._positions.get(j)
-    if p is None:
-        raise ValueError(f"vertex {j} not in complex")
-    jbit = 1 << p
-    member_mask = 0
-    kept = set()
-    for f in K.face_masks:
-        if f & jbit == 0 and (f | jbit) in K.face_masks:
-            kept.add(f)
-            member_mask |= f
-    verts = K.labels_of(member_mask)
-    remap = {old: new for new, old in enumerate(_bits(member_mask))}
-    faces = set()
-    for f in kept:
-        g = 0
-        for b in _bits(f):
-            g |= 1 << remap[b]
-        faces.add(g)
-    return SimplicialComplex._from_faces(verts, faces)
+    jbit = K.mask_of((j,))
+    return _on_support(
+        K, [f for f in K.face_masks if f & jbit == 0 and (f | jbit) in K.face_masks]
+    )
 
 
 def star(K, j):
     """st_K(j) = lk_K(j) * j: all faces whose union with j is a face."""
-    p = K._positions.get(j)
-    if p is None:
-        raise ValueError(f"vertex {j} not in complex")
-    jbit = 1 << p
-    kept = set()
-    member_mask = jbit
-    for f in K.face_masks:
-        if (f | jbit) in K.face_masks:
-            kept.add(f)
-            kept.add(f | jbit)
-            member_mask |= f
-    verts = K.labels_of(member_mask)
-    remap = {old: new for new, old in enumerate(_bits(member_mask))}
-    faces = set()
-    for f in kept:
-        g = 0
-        for b in _bits(f):
-            g |= 1 << remap[b]
-        faces.add(g)
-    return SimplicialComplex._from_faces(verts, faces)
+    jbit = K.mask_of((j,))
+    return _on_support(K, [f for f in K.face_masks if (f | jbit) in K.face_masks])
 
 
 def join(K, L):
@@ -386,50 +388,32 @@ def one_skeleton(K):
 
 
 def is_flag(K):
-    """Whether every missing face of K has exactly two vertices.
+    """Whether every missing face of K has exactly two vertices; the witness
+    of a failure is a missing face (see ``SimplicialComplex.flag_check``)."""
+    return K.flag_check
 
-    Works level by level: if all cliques of the 1-skeleton with at most k
-    vertices are faces, any (k+1)-clique that is not a face is a missing face
-    of size >= 3 and is returned as the witness.
-    """
-    adj = K.adjacency
-    current = [f for f in K.face_masks if f.bit_count() == 2]
-    while current:
-        nxt = []
-        for f in current:
-            common = K.full_mask
-            top = f.bit_length() - 1
-            for b in _bits(f):
-                common &= adj[b]
-            for v in _bits(common >> (top + 1) << (top + 1)):
-                cand = f | (1 << v)
-                if cand in K.face_masks:
-                    nxt.append(cand)
-                else:
-                    return CheckResult(False, K.labels_of(cand))
-        current = nxt
-    return CheckResult(True)
+
+def _clique_extensions(adj, cliques):
+    """Each clique extended by every common neighbour above its top vertex,
+    in order: from all the k-cliques this yields every (k+1)-clique once."""
+    for f in cliques:
+        common = -1
+        for b in bits(f):
+            common &= adj[b]
+        top = f.bit_length()
+        for v in bits(common >> top << top):
+            yield f | 1 << v
 
 
 def clique_complex(G, max_faces=1 << 20):
     """The complex whose faces are exactly the cliques of G."""
     faces = {0}
-    faces.update(1 << i for i in range(G.m))
-    current = list(faces - {0})
-    while current:
-        nxt = []
-        for f in current:
-            common = G.full_mask
-            top = f.bit_length() - 1
-            for b in _bits(f):
-                common &= G.adj[b]
-            for v in _bits(common >> (top + 1) << (top + 1)):
-                cand = f | (1 << v)
-                nxt.append(cand)
-                faces.add(cand)
-                if len(faces) > max_faces:
-                    raise ValueError(f"clique enumeration exceeds budget of {max_faces} faces")
-        current = nxt
+    level = [1 << i for i in range(G.m)]
+    while level:
+        faces.update(level)
+        if len(faces) > max_faces:
+            raise ValueError(f"clique enumeration exceeds budget of {max_faces} faces")
+        level = list(_clique_extensions(G.adj, level))
     return SimplicialComplex._from_faces(G.labels, faces)
 
 
@@ -451,7 +435,7 @@ def is_chordal(G):
                 v = i
         picks.append(v)
         numbered |= 1 << v
-        for u in _bits(adj[v] & ~numbered):
+        for u in bits(adj[v] & ~numbered):
             weight[u] += 1
     order = picks[::-1]  # candidate perfect elimination ordering
     position = [0] * n
@@ -465,11 +449,18 @@ def is_chordal(G):
     for v in order:
         nb = later[v]
         if nb:
-            u = min(_bits(nb), key=lambda x: position[x])
+            u = min(bits(nb), key=lambda x: position[x])
             rest = nb & ~(1 << u)
             if rest & ~adj[u]:
                 return CheckResult(False, _find_hole(G))
     return CheckResult(True)
+
+
+def is_minimally_non_chordal(G):
+    """Not chordal, but chordal after deleting any one vertex."""
+    if is_chordal(G):
+        return False
+    return all(is_chordal(G.induced(G.full_mask & ~(1 << v))) for v in range(G.m))
 
 
 def _find_hole(G):
@@ -481,7 +472,7 @@ def _find_hole(G):
     adj = G.adj
     for v in range(G.m):
         nv = adj[v]
-        nbrs = list(_bits(nv))
+        nbrs = list(bits(nv))
         for ai, u in enumerate(nbrs):
             for w in nbrs[ai + 1:]:
                 if adj[u] >> w & 1:
@@ -500,7 +491,7 @@ def _bfs_path(adj, src, dst, allowed):
     while frontier:
         nxt = []
         for x in frontier:
-            for y in _bits(adj[x] & allowed):
+            for y in bits(adj[x] & allowed):
                 if y not in parent:
                     parent[y] = x
                     if y == dst:
@@ -522,12 +513,12 @@ def find_induced_cycles(G, min_len=4):
         if mask.bit_count() < min_len:
             continue
         if _induces_cycle(adj, mask):
-            out.append(tuple(sorted(G.labels[i] for i in _bits(mask))))
+            out.append(tuple(sorted(G.labels[i] for i in bits(mask))))
     return out
 
 
 def _induces_cycle(adj, mask):
-    for i in _bits(mask):
+    for i in bits(mask):
         if (adj[i] & mask).bit_count() != 2:
             return False
     # 2-regular and connected means a single cycle
@@ -536,7 +527,7 @@ def _induces_cycle(adj, mask):
     frontier = start
     while frontier:
         nxt = 0
-        for i in _bits(frontier):
+        for i in bits(frontier):
             nxt |= adj[i]
         frontier = nxt & mask & ~comp
         comp |= frontier
@@ -563,16 +554,9 @@ def classify_star_condition(K):
     """
     if not is_flag(K):
         return StarClassification.no_match(REASON_NOT_FLAG)
-    adj = K.adjacency
-    full = K.full_mask
-    universal = 0
-    for i in range(K.m):
-        if adj[i] == full & ~(1 << i):
-            universal |= 1 << i
-    rest = full & ~universal
-    if rest == 0:
-        return StarClassification.no_match(REASON_REMAINDER_NOT_CYCLE)
-    if not _induces_cycle(adj, rest):
+    universal = one_skeleton(K).universal_mask()
+    rest = K.full_mask & ~universal
+    if rest == 0 or not _induces_cycle(K.adjacency, rest):
         return StarClassification.no_match(REASON_REMAINDER_NOT_CYCLE)
     p = rest.bit_count()
     if p < 4:

@@ -164,9 +164,7 @@ def _check_complex(cfg, n, mask, tallies, counterexamples):
     needs_homology = cfg.checks & {CHECK_GROUP, CHECK_ALGEBRA, CHECK_VANISHING}
     groups = table = None
     if needs_homology:
-        per_subset = homology._per_subset_groups(K)
-        groups = homology._assemble_R(K, per_subset)
-        table = homology._assemble_Z(K, per_subset)
+        groups, table = homology.homology_R_and_Z(K)
 
     def report(check, **details):
         payload = {
@@ -203,13 +201,8 @@ def _check_complex(cfg, n, mask, tallies, counterexamples):
         cycle_len = simplicial.is_cycle(K)
         is_long_cycle = cycle_len is not None and cycle_len >= 4
         tallies["cycle_complexes"] += is_long_cycle
-        universal = [
-            K.labels[i]
-            for i in range(K.m)
-            if K.adjacency[i] == K.full_mask & ~(1 << i)
-        ]
-        core = simplicial.full_subcomplex(K, [v for v in K.labels if v not in universal])
-        core_mng = classify.minimally_non_golod_flag(core) if core.m else False
+        core = graph.induced(graph.full_mask & ~graph.universal_mask())
+        core_mng = simplicial.is_minimally_non_chordal(core)
         if star.matches != core_mng:
             report(CHECK_FLAGMNG, kind="cycle_join_vs_core_mng", core_mng=core_mng)
         if mng != is_long_cycle:

@@ -1,6 +1,13 @@
 import pytest
 
-from conftest import cycle, simplex, square_broken_cone, square_cone, square_partial_cone
+from conftest import (
+    all_graphs,
+    cycle,
+    simplex,
+    square_broken_cone,
+    square_cone,
+    square_partial_cone,
+)
 from macx import classify
 from macx.classify import (
     NonFlagError,
@@ -17,8 +24,15 @@ from macx.classify import (
     y_space_homology,
 )
 from macx.homology import HomologyGroup
-from macx.simplicial import SimplicialComplex, clique_complex, join
-from macx.simplicial import Graph
+from macx.simplicial import (
+    Graph,
+    SimplicialComplex,
+    clique_complex,
+    full_subcomplex,
+    is_chordal,
+    join,
+    one_skeleton,
+)
 
 Z = HomologyGroup(1)
 ZERO = HomologyGroup()
@@ -91,6 +105,22 @@ def test_golod_and_minimally_non_golod():
     assert not minimally_non_golod_flag(square_cone())
     assert golod_flag(tree_complex())
     assert not minimally_non_golod_flag(tree_complex())
+
+
+def test_minimally_non_golod_matches_vertex_deletion_exhaustive():
+    # the definition, rebuilding the full subcomplex for each deleted vertex
+    def by_deletion(K):
+        if is_chordal(one_skeleton(K)):
+            return False
+        return all(
+            is_chordal(one_skeleton(full_subcomplex(K, [u for u in K.labels if u != v])))
+            for v in K.labels
+        )
+
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            K = clique_complex(g)
+            assert minimally_non_golod_flag(K) == by_deletion(K)
 
 
 def test_surface_genus():

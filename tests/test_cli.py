@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from macx import cli, simplicial
+from macx import cli, loop_algebra, simplicial
 from macx.cli import ComplexParseError, main, parse_complex_text
 from macx.simplicial import CheckResult
 
@@ -70,6 +70,9 @@ def test_parse_errors_carry_line_numbers():
         parse_complex_text("vertices 4\nvertices 4\n")
     with pytest.raises(ComplexParseError):
         parse_complex_text("")
+    # '\u00b2'.isdigit() holds, but int() rejects a superscript two
+    with pytest.raises(ComplexParseError, match="expected 'vertices m'"):
+        parse_complex_text("vertices \u00b2\nfacet 1 2\n")
 
 
 def test_parse_empty_facet_list_gives_points():
@@ -137,6 +140,23 @@ def test_analyze_parse_error_exit_code(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_analyze_superscript_vertex_count(tmp_path, capsys):
+    path = tmp_path / "sup.cx"
+    path.write_bytes(b"vertices \xc2\xb2\nfacet 1 2\n")
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == "error: line 1: expected 'vertices m'\n"
+
+
+def test_analyze_refuses_cycle_beyond_summand_bound(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "c5.cx"
+    path.write_text("vertices 5\n" + "".join(f"facet {i} {i % 5 + 1}\n" for i in range(1, 6)))
+    monkeypatch.setattr(loop_algebra, "MAX_SUMMANDS", 4)   # C5 has 5 summands
+    assert main(["analyze", str(path), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cycle length 5 gives more than 4 sphere-product summands\n"
+
+
 def test_analyze_missing_file():
     assert main(["analyze", "/nonexistent/thing.cx"]) == 1
 
@@ -178,6 +198,14 @@ def test_poincare_command(capsys):
     assert data["series"]["dga"] == [1, 0, 5, 5, 25, 49]
 
 
+def test_poincare_rejects_negative_dga_truncation(capsys):
+    argv = ["poincare", "--cycle", "5", "--dga", "--dga-truncate", "-2", "--json"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: truncation must be nonnegative\n"
+
+
 def test_poincare_pairs_spec(capsys):
     assert main(["poincare", "--pairs", "6:3", "--truncate", "6"]) == 0
     out = capsys.readouterr().out
@@ -190,6 +218,17 @@ def test_mcgavran_command(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["summands"] == 17 and data["generators"] == 34
     assert main(["mcgavran", "--cycle", "3"]) == 1
+
+
+@pytest.mark.parametrize("command", [["mcgavran"], ["poincare", "--json"]])
+def test_cycle_beyond_summand_bound_is_an_error(capsys, command):
+    assert main([*command, "--cycle", "40"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cycle length 40 gives more than {loop_algebra.MAX_SUMMANDS} "
+        "sphere-product summands\n"
+    )
 
 
 def test_yspace_command(capsys):

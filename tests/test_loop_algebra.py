@@ -34,6 +34,15 @@ def test_mcgavran_rejects_short_cycles():
         mcgavran(3)
 
 
+def test_mcgavran_summand_bound():
+    # (p-4) * 2^(p-3) + 1 summands: p = 20 fits the bound, p = 21 does not,
+    # and a huge p is refused before anything of its size is built
+    assert mcgavran(20).k == 16 * 2 ** 17 + 1 <= loop_algebra.MAX_SUMMANDS
+    for p in (21, 40, 10 ** 9):
+        with pytest.raises(ValueError, match="sphere-product summands"):
+            mcgavran(p)
+
+
 def test_sphere_product_validation():
     with pytest.raises(ValueError):
         SphereProductSum(3, (2,))
@@ -188,6 +197,11 @@ def test_series_degree_one_is_empty_for_cycles():
         assert poincare_series_closed(mcgavran(p), 3)[1] == 0
     # degree-one coefficient counts degree-one generators when they do occur
     assert poincare_series_closed(SphereProductSum(4, (2,)), 3)[1] == 2
+
+
+def test_dga_homology_rejects_negative_truncation():
+    with pytest.raises(ValueError, match="truncation must be nonnegative"):
+        dga_homology_ranks(adams_hilton_model(mcgavran(5)), -1)
 
 
 def test_dga_homology_reports_torsion():

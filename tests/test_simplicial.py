@@ -119,6 +119,22 @@ def test_full_subcomplex_is_face_filtering():
                 assert faces_as_sets(full_subcomplex(K, sub)) == expected
 
 
+def test_induced_subgraph_is_skeleton_of_full_subcomplex_exhaustive():
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            K = clique_complex(g)
+            for mask in range(1 << n):
+                expected = one_skeleton(full_subcomplex(K, K.labels_of(mask)))
+                assert g.induced(mask) == expected
+
+
+def test_universal_mask_matches_degree_count_exhaustive():
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            expected = sum(1 << i for i, v in enumerate(g.labels) if g.degree(v) == n - 1)
+            assert g.universal_mask() == expected
+
+
 # -- link, star, join --------------------------------------------------------
 
 
