@@ -88,10 +88,15 @@ def _bigraded_json(table):
 
 
 def analyze(K, name="complex", truncate=12):
-    """Assemble the full analysis payload for one complex (plain data)."""
+    """Assemble the full analysis payload for one complex (plain data).
+
+    A cycle too long for its sphere-product decomposition is refused
+    (ValueError) before any walk over the vertex subsets."""
+    star = simplicial.classify_star_condition(K)
+    M = loop_algebra.mcgavran(star.p) if star else None
     groups, table = homology.homology_R_and_Z(K)
     report = classify.build_report(K, groups, table)
-    words = enumerate_rendered(K, generators.GROUP)
+    gens = generators.enumerate_generators(K)
     out = {
         "complex": name,
         "vertices": K.m,
@@ -112,24 +117,19 @@ def analyze(K, name="complex", truncate=12):
         "genus": report.genus,
         "witnesses": {k: list(v) if isinstance(v, tuple) else v
                       for k, v in report.witnesses.items()},
-        "generator_count": len(words),
-        "generators_group": words,
-        "generators_algebra": enumerate_rendered(K, generators.ALGEBRA),
+        "generator_count": gens.count,
+        "generators_group": gens.rendered(),
+        "generators_algebra": gens.rendered(generators.ALGEBRA),
         "H_R": _homology_list_json(groups),
         "H_Z_bigraded": _bigraded_json(table),
         "betti_Z": table.betti(),
     }
-    if report.star_condition.matches:
-        M = loop_algebra.mcgavran(report.star_condition.p)
+    if M is not None:
         out["mcgavran"] = {"d": M.d, "pairs": list(M.pairs)}
         out["poincare_prefix"] = list(
             loop_algebra.poincare_series_closed(M, truncate).coefficients
         )
     return out
-
-
-def enumerate_rendered(K, kind):
-    return generators.enumerate_generators(K, kind).rendered()
 
 
 def _print_analysis(data):

@@ -53,8 +53,10 @@ class CommutatorWord:
     def support(self):
         return tuple(sorted(set(self.prefix) | {self.i, self.j}))
 
-    def render(self):
-        if self.kind == GROUP:
+    def render(self, kind=None):
+        """The word as text, in ``kind`` (default: the word's own kind); the
+        two kinds differ only in notation."""
+        if (kind or self.kind) == GROUP:
             word = f"(g_{self.j},g_{self.i})"
             for k in reversed(self.prefix):
                 word = f"(g_{k},{word})"
@@ -73,8 +75,8 @@ class GeneratorSet:
     def count(self):
         return len(self.words)
 
-    def rendered(self):
-        return [w.render() for w in self.words]
+    def rendered(self, kind=None):
+        return [w.render(kind) for w in self.words]
 
 
 def render_word(word):

@@ -12,16 +12,24 @@ bigraded table H_{-i,2j}(Z_K) of the moment-angle complex from H~_{j-i-1}(K_J)
 over subsets of size j. ``homology_R_and_Z`` returns both from a single walk
 over the subsets; callers that need both use it.
 
-Reduced homology of subcomplexes is memoized by their face-mask tuple, which
-is what makes exhaustive sweeps over all graphs on six vertices affordable:
-distinct complexes share most of their full subcomplexes.
+The subset walk visits J in increasing order and computes H~(K_J) by Smith
+form only for cores. If some vertex v of K_J is dominated (every facet of K_J
+that contains v also contains some other vertex w), deleting v is a strong
+collapse, which keeps the homotopy type (Barmak and Minian, "Strong homotopy
+types, nerves and collapses", DCG 47, 2012), so H~(K_J) = H~(K_{J-v}) is read
+from the walk's own array. For a flag complex, K_J is determined by J and the
+edges of the induced subgraph, so the homology of its cores is memoized
+across walks under that key; sweeps over all graphs on a few vertices share
+most of their cores. The memo holds at most ``MEMO_LIMIT`` entries.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 
-from .simplicial import bits
+from .simplicial import MAX_VERTICES, bits
 
 
 def _factorize(n):
@@ -351,12 +359,17 @@ def boundary_matrix(K, k):
     return IntMatrix.from_rows(rows)
 
 
-_REDUCED_CACHE = {}
+# Core homologies of flag complexes shared across subset walks, keyed by the
+# vertex set and its induced edges (see ``_per_subset_groups``). It is emptied
+# when it reaches MEMO_LIMIT entries, more than the 84,203 keys that the cores
+# of all graphs on seven vertices take.
+MEMO_LIMIT = 1 << 17
+_MEMO = {}
 
 
 def clear_cache():
-    """Drop the memoized subcomplex homologies (mainly for benchmarks)."""
-    _REDUCED_CACHE.clear()
+    """Drop the memoized core homologies (mainly for benchmarks)."""
+    _MEMO.clear()
 
 
 def _reduced_groups_impl(faces):
@@ -423,52 +436,152 @@ def _reduced_groups_impl(faces):
     return tuple(out)
 
 
-def _reduced_cached(faces):
-    groups = _REDUCED_CACHE.get(faces)
-    if groups is None:
-        groups = _reduced_groups_impl(faces)
-        _REDUCED_CACHE[faces] = groups
-    return groups
-
-
 def reduced_homology(K):
     """H~_n(K; Z) for 0 <= n <= dim K, as a list of HomologyGroup.
 
     The complex on zero vertices yields the empty list; its single nonzero
     reduced group H~_{-1} = Z is handled explicitly by the subset sweeps.
     """
-    return list(_reduced_cached(K.sorted_face_masks))
+    return list(_reduced_groups_impl(K.sorted_face_masks))
 
 
 # -- full-subcomplex decompositions ----------------------------------------
 
 
+def _domination_table(K):
+    """For each vertex v of K, one triple (1 << w, single, multi) per edge
+    {v, w} of K, such that for every vertex set J holding v and w, v is
+    dominated by w in the full subcomplex K_J exactly when J meets no bit of
+    ``single`` and contains no mask of ``multi``.
+
+    v is dominated by w in K_J when every face of K_J through v spans a face
+    with w. The obstructions are the faces s of K through v with s + w not a
+    face; they are closed upwards, so the minimal ones decide. They are kept
+    without v. ``single`` is the mask of the one-vertex ones: the neighbours
+    u of v for which {u, v, w} is not a face. ``multi`` lists the others,
+    s - v for a face s of three or more vertices, every vertex of which is a
+    neighbour of w, with s + w not a face but s - u + w a face for each u in
+    s - v. In a flag complex s + w is then a clique, hence a face, so
+    ``multi`` is empty and the test is one AND.
+    """
+    faces = K.face_masks
+    adj = K.adjacency
+    common = {}  # edge -> mask of the vertices spanning a triangle with it
+    multi = {}  # (v, w) -> the obstructions of more than one vertex
+    for s in faces:
+        size = s.bit_count()
+        if size < 3:
+            continue
+        if size == 3:
+            for u in bits(s):
+                edge = s ^ 1 << u
+                common[edge] = common.get(edge, 0) | 1 << u
+        around = -1
+        for u in bits(s):
+            around &= adj[u]
+        for w in bits(around & ~s):
+            wb = 1 << w
+            if s | wb in faces:
+                continue
+            for v in bits(s):
+                r = s ^ 1 << v
+                if all((s ^ 1 << u) | wb in faces for u in bits(r)):
+                    multi.setdefault((v, w), []).append(r)
+    table = []
+    for v in range(K.m):
+        pairs = []
+        for w in bits(adj[v]):
+            wb = 1 << w
+            single = adj[v] & ~wb & ~common.get(1 << v | wb, 0)
+            pairs.append((wb, single, tuple(multi.get((v, w), ()))))
+        table.append(tuple(pairs))
+    return table
+
+
+def _dominated_bit(J, table):
+    """The bit of the lowest vertex of J dominated in K_J, or 0 if none is."""
+    rest = J
+    while rest:
+        low = rest & -rest
+        for wb, single, multi in table[low.bit_length() - 1]:
+            if J & wb and not J & single and (
+                not multi or all(s & J != s for s in multi)
+            ):
+                return low
+        rest ^= low
+    return 0
+
+
 def _per_subset_groups(K):
-    """Reduced homology of every full subcomplex, keyed by subset bitmask.
+    """Reduced homology of the full subcomplexes, tallied: a dict mapping
+    (|J|, groups) to the number of nonempty subsets J whose K_J has those
+    reduced groups, for the groups with a nonzero entry. The empty subset is
+    omitted (its contribution is the fixed H~_{-1} = Z). Trailing zero groups
+    may be missing from a tuple.
 
-    Only subsets with some nonzero group are returned; the empty subset is
-    omitted (its contribution is the fixed H~_{-1} = Z)."""
+    Subsets are visited in increasing order, so J minus any vertex is done
+    before J. A memo hit (flag complexes only) is reused; else a dominated
+    vertex v gives H~(K_J) = H~(K_{J-v}); else J is a core and its faces go to
+    Smith form. The memo key is J together with the edge code of J, which is
+    that of J minus its top vertex t plus t's edges below it, at bits C(t, 2)
+    and up.
+    """
+    table = _domination_table(K)
+    memo = _MEMO if K.flag_check else None
     faces = K.sorted_face_masks
-    out = {}
-    for J in range(1, K.full_mask + 1):
-        keep = ~J
-        sub = tuple(f for f in faces if f & keep == 0)
-        groups = _reduced_cached(sub)
-        if any(not g.is_zero for g in groups):
-            out[J] = groups
-    return out
+    adj = K.adjacency
+    full = K.full_mask
+    distinct = []  # the group tuples met in this walk
+    index = {}
+    vals = [0] * (full + 1)  # per subset, its position in distinct
+    code = [0] * (full + 1) if memo is not None else None
+    for J in range(1, full + 1):
+        if memo is not None:
+            t = J.bit_length() - 1
+            below = J ^ (1 << t)
+            c = code[J] = code[below] | (adj[t] & below) << (t * (t - 1) >> 1)
+            key = c << MAX_VERTICES | J
+            groups = memo.get(key)
+            if groups is not None:
+                vals[J] = _position(groups, distinct, index)
+                continue
+        v = _dominated_bit(J, table)
+        if v:
+            vals[J] = vals[J ^ v]
+            continue
+        groups = _reduced_groups_impl(tuple(f for f in faces if not f & ~J))
+        if memo is not None:
+            if len(memo) >= MEMO_LIMIT:
+                memo.clear()
+            memo[key] = groups
+        vals[J] = _position(groups, distinct, index)
+    sizes = map(int.bit_count, range(1, full + 1))
+    counts = Counter(zip(sizes, islice(vals, 1, None)))
+    return {
+        (size, distinct[i]): n
+        for (size, i), n in counts.items()
+        if any(not g.is_zero for g in distinct[i])
+    }
 
 
-def _assemble_R(K, per_subset):
+def _position(groups, distinct, index):
+    i = index.get(groups)
+    if i is None:
+        i = index[groups] = len(distinct)
+        distinct.append(groups)
+    return i
+
+
+def _assemble_R(K, tally):
     size = K.dim + 2
     free = [0] * size
     torsion = [[] for _ in range(size)]
     free[0] = 1  # empty subset: H~_{-1} = Z lands in degree 0
-    for groups in per_subset.values():
+    for (_, groups), n in tally.items():
         for deg, g in enumerate(groups):
             if not g.is_zero:
-                free[deg + 1] += g.free_rank
-                torsion[deg + 1].extend(g.torsion)
+                free[deg + 1] += n * g.free_rank
+                torsion[deg + 1].extend(g.torsion * n)
     return [HomologyGroup.from_divisors(f, t) for f, t in zip(free, torsion)]
 
 
@@ -501,10 +614,9 @@ class BigradedTable:
         return out
 
 
-def _assemble_Z(K, per_subset):
+def _assemble_Z(K, tally):
     acc = {}
-    for J, groups in per_subset.items():
-        j = J.bit_count()
+    for (j, groups), n in tally.items():
         for deg, g in enumerate(groups):
             if g.is_zero:
                 continue
@@ -513,8 +625,8 @@ def _assemble_Z(K, per_subset):
             slot = acc.get(key)
             if slot is None:
                 acc[key] = slot = [0, []]
-            slot[0] += g.free_rank
-            slot[1].extend(g.torsion)
+            slot[0] += n * g.free_rank
+            slot[1].extend(g.torsion * n)
     entries = {key: HomologyGroup.from_divisors(f, t) for key, (f, t) in acc.items()}
     entries[(0, 0)] = Z_GROUP  # empty subset
     return BigradedTable(K.m, entries)
@@ -528,8 +640,8 @@ def bigraded_homology_Z(K):
 def homology_R_and_Z(K):
     """H_*(R_K) and the bigraded table of H(Z_K), from one walk over the full
     subcomplexes."""
-    per_subset = _per_subset_groups(K)
-    return _assemble_R(K, per_subset), _assemble_Z(K, per_subset)
+    tally = _per_subset_groups(K)
+    return _assemble_R(K, tally), _assemble_Z(K, tally)
 
 
 def betti_Z(K):

@@ -75,6 +75,19 @@ class CheckResult:
         return self.ok
 
 
+class _ChordlessCycle(CheckResult):
+    """A failed chordality check; its witness, a chordless cycle, is found on
+    first read, so a caller that keeps only the verdict never pays for it."""
+
+    def __init__(self, graph):
+        object.__setattr__(self, "ok", False)
+        object.__setattr__(self, "_graph", graph)
+
+    @cached_property
+    def witness(self):
+        return _find_hole(self._graph)
+
+
 @dataclass(frozen=True)
 class StarClassification:
     """Outcome of testing whether a complex is a cycle joined with a simplex.
@@ -112,12 +125,11 @@ class SimplicialComplex:
     of its vertex set, and is closed under taking subsets.
 
     ``face_masks`` holds every face as a bitmask over positions in ``labels``;
-    ``facet_masks`` lists the inclusion-maximal faces.
+    ``facet_masks`` lists the inclusion-maximal faces, found on first use.
     """
 
     labels: tuple[int, ...]
     face_masks: frozenset[int]
-    facet_masks: tuple[int, ...]
 
     # -- construction ------------------------------------------------------
 
@@ -148,9 +160,7 @@ class SimplicialComplex:
     @classmethod
     def _from_faces(cls, labels, faces):
         """Internal constructor; assumes faces is already downward closed."""
-        face_set = frozenset(faces)
-        facets = tuple(sorted(_maximal_masks(face_set, len(labels))))
-        return cls(tuple(labels), face_set, facets)
+        return cls(tuple(labels), frozenset(faces))
 
     # -- basic queries -----------------------------------------------------
 
@@ -165,6 +175,10 @@ class SimplicialComplex:
     @cached_property
     def dim(self):
         return max(f.bit_count() for f in self.face_masks) - 1
+
+    @cached_property
+    def facet_masks(self):
+        return tuple(sorted(_maximal_masks(self.face_masks, self.m)))
 
     @cached_property
     def sorted_face_masks(self):
@@ -419,7 +433,8 @@ def clique_complex(G, max_faces=1 << 20):
 
 def is_chordal(G):
     """Chordality via maximum cardinality search plus perfect-elimination
-    verification; on failure the witness is a chordless cycle of length >= 4.
+    verification; on failure the witness is a chordless cycle of length >= 4,
+    found when the witness is first read.
     """
     n = G.m
     adj = G.adj
@@ -452,7 +467,7 @@ def is_chordal(G):
             u = min(bits(nb), key=lambda x: position[x])
             rest = nb & ~(1 << u)
             if rest & ~adj[u]:
-                return CheckResult(False, _find_hole(G))
+                return _ChordlessCycle(G)
     return CheckResult(True)
 
 

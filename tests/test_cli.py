@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from macx import cli, loop_algebra, simplicial
+from macx import cli, generators, homology, loop_algebra, simplicial
 from macx.cli import ComplexParseError, main, parse_complex_text
 from macx.simplicial import CheckResult
 
@@ -155,6 +155,22 @@ def test_analyze_refuses_cycle_beyond_summand_bound(monkeypatch, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cycle length 5 gives more than 4 sphere-product summands\n"
+
+
+def test_analyze_refuses_long_cycle_before_walking_subsets(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "c9.cx"
+    path.write_text("vertices 9\n" + "".join(f"facet {i} {i % 9 + 1}\n" for i in range(1, 10)))
+    monkeypatch.setattr(loop_algebra, "MAX_SUMMANDS", 4)
+
+    def no_walk(*args):
+        raise AssertionError("walked the subsets of a refused complex")
+
+    monkeypatch.setattr(homology, "homology_R_and_Z", no_walk)
+    monkeypatch.setattr(generators, "enumerate_generators", no_walk)
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: cycle length 9 gives more than 4 sphere-product summands\n"
+    )
 
 
 def test_analyze_missing_file():

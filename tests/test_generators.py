@@ -59,6 +59,8 @@ def test_render_word():
     assert render_word(CommutatorWord(ALGEBRA, (), 3, 1)) == "[u_3,u_1]"
     assert render_word(CommutatorWord(GROUP, (), 2, 1)) == "(g_2,g_1)"
     assert render_word(CommutatorWord(ALGEBRA, (2, 3), 5, 1)) == "[u_2,[u_3,[u_5,u_1]]]"
+    assert CommutatorWord(GROUP, (2,), 5, 4).render(ALGEBRA) == "[u_2,[u_5,u_4]]"
+    assert CommutatorWord(ALGEBRA, (2,), 5, 4).render(GROUP) == "(g_2,(g_5,g_4))"
 
 
 def test_word_shape_validation():
@@ -83,6 +85,8 @@ def test_count_matches_enumeration_exhaustively():
             assert algebra_words.count == count
             assert [(w.prefix, w.j, w.i) for w in group_words.words] == \
                 [(w.prefix, w.j, w.i) for w in algebra_words.words]
+            assert group_words.rendered(ALGEBRA) == algebra_words.rendered()
+            assert algebra_words.rendered(GROUP) == group_words.rendered()
 
 
 def test_emitted_words_satisfy_side_conditions():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -22,10 +23,18 @@ from macx.homology import (
     bigraded_homology_Z,
     boundary_matrix,
     homology_R,
+    homology_R_and_Z,
     reduced_homology,
     smith_normal_form,
 )
-from macx.simplicial import SimplicialComplex, clique_complex, full_subcomplex, join
+from macx.simplicial import (
+    Graph,
+    SimplicialComplex,
+    bits,
+    clique_complex,
+    full_subcomplex,
+    join,
+)
 
 Z = HomologyGroup(1)
 ZERO = HomologyGroup()
@@ -442,3 +451,114 @@ def test_cache_determinism():
     first = homology_R(K)
     homology.clear_cache()
     assert homology_R(K) == first
+
+
+# -- the strong-collapse subset walk -------------------------------------------
+
+
+def _random_complexes(seed, count):
+    """Seeded random complexes on at most seven vertices: arbitrary facet
+    lists, so most are not flag, and clique complexes of random graphs."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        m = rng.randint(1, 7)
+        if k % 3 == 0:
+            edges = [e for e in combinations(range(1, m + 1), 2) if rng.random() < 0.5]
+            out.append(clique_complex(Graph.from_edges(m, edges)))
+        else:
+            facets = [rng.sample(range(1, m + 1), rng.randint(1, min(m, 4)))
+                      for _ in range(rng.randint(0, 7))]
+            out.append(SimplicialComplex.from_facets(facets, m))
+    return out
+
+
+def _rp2_and_join():
+    two_points = SimplicialComplex.from_facets([], [7, 8])
+    return [projective_plane(), join(projective_plane(), two_points)]
+
+
+def _tables_by_full_subcomplexes(K):
+    """H_*(R_K) and the bigraded H(Z_K) summed over every vertex subset J from
+    the reduced homology of a rebuilt K_J, without the subset walk."""
+    by_degree = [[] for _ in range(K.dim + 2)]
+    by_bidegree = {(0, 0): [Z]}
+    for j in range(1, K.m + 1):
+        for sub in combinations(K.labels, j):
+            for deg, g in enumerate(reduced_homology(full_subcomplex(K, sub))):
+                if g.is_zero:
+                    continue
+                by_degree[deg + 1].append(g)
+                by_bidegree.setdefault((j - deg - 1, 2 * j), []).append(g)
+    by_degree[0].append(Z)
+    groups = [HomologyGroup.direct_sum(*gs) for gs in by_degree]
+    return groups, {key: HomologyGroup.direct_sum(*gs) for key, gs in by_bidegree.items()}
+
+
+def test_subset_walk_agrees_with_full_subcomplex_sums():
+    corpus = _random_complexes(20261018, 150) + _rp2_and_join()
+    corpus += [square_broken_cone(), square_partial_cone(), cycle(7)]
+    torsion_seen = False
+    homology.clear_cache()
+    for K in corpus:
+        expected_R, expected_Z = _tables_by_full_subcomplexes(K)
+        for _ in range(2):  # the second walk of a flag complex reads the memo
+            groups, table = homology_R_and_Z(K)
+            assert groups == expected_R, K
+            assert table.entries == expected_Z, K
+        torsion_seen |= any(g.torsion for g in groups)
+    assert torsion_seen
+    # RP^2_6 and its suspension: Z/2 in H_*(R_K)
+    assert homology_R_and_Z(projective_plane())[0][2].torsion == (2,)
+
+
+def _facet_dominated(K, J, v, w):
+    """The definition: every facet of K_J that contains v contains w."""
+    faces = [f for f in K.face_masks if not f & ~J]
+    facets = [f for f in faces if not any(g != f and g & f == f for g in faces)]
+    return all(f >> w & 1 for f in facets if f >> v & 1)
+
+
+def test_domination_table_matches_facet_definition():
+    corpus = [clique_complex(g) for n in range(1, 5) for g in all_graphs(n)]
+    corpus += _random_complexes(7, 60) + [projective_plane(), square_broken_cone()]
+    multi_seen = False
+    for K in corpus:
+        table = homology._domination_table(K)
+        for v, pairs in enumerate(table):
+            assert sorted(wb.bit_length() - 1 for wb, _, _ in pairs) == list(
+                bits(K.adjacency[v]))
+            multi_seen |= any(multi for _, _, multi in pairs)
+        for J in range(1, K.full_mask + 1):
+            lowest = 0
+            for v in bits(J):
+                dominated = False
+                for w in bits(J & ~(1 << v)):
+                    truth = _facet_dominated(K, J, v, w)
+                    dominated |= truth
+                    # the table restricted to the one pair (v, w)
+                    only = [tuple(p for p in pairs if u == v and p[0] == 1 << w)
+                            for u, pairs in enumerate(table)]
+                    assert bool(homology._dominated_bit(J, only)) == truth, (K, J, v, w)
+                if dominated and not lowest:
+                    lowest = 1 << v
+            assert homology._dominated_bit(J, table) == lowest
+    assert multi_seen  # some non-flag complex had an obstruction of two vertices
+
+
+def test_memo_is_bounded_and_kept_for_flag_complexes_only(monkeypatch):
+    homology.clear_cache()
+    homology_R_and_Z(projective_plane())
+    homology_R_and_Z(square_broken_cone())
+    assert len(homology._MEMO) == 0  # not flag: K_J is not fixed by its graph
+    K = cycle(9)  # its cores: the 75 nonempty independent sets and K itself
+    expected = homology_R_and_Z(K)
+    assert len(homology._MEMO) == 76 <= homology.MEMO_LIMIT
+    monkeypatch.setattr(homology, "MEMO_LIMIT", 5)
+    homology.clear_cache()
+    assert homology_R_and_Z(K) == expected
+    assert len(homology._MEMO) <= 5
+    for seed in range(3):
+        for L in _random_complexes(seed, 12):
+            homology_R_and_Z(L)
+            assert len(homology._MEMO) <= 5

@@ -226,6 +226,20 @@ def test_clique_complex_examples():
     assert clique_complex(one_skeleton(partial)) == partial
 
 
+def test_facets_found_on_first_use(monkeypatch):
+    calls = []
+    maximal = simplicial._maximal_masks
+    monkeypatch.setattr(simplicial, "_maximal_masks",
+                        lambda faces, m: calls.append(m) or maximal(faces, m))
+    K = clique_complex(one_skeleton(square_partial_cone()))
+    same = SimplicialComplex.from_facets([[1, 2, 5], [2, 3, 5], [1, 4], [3, 4]], 5)
+    assert calls == []
+    assert K == same and hash(K) == hash(same)
+    assert K.facets() == ((1, 4), (3, 4), (1, 2, 5), (2, 3, 5)) and calls == [5]
+    assert K == same and hash(K) == hash(same)  # one has its facets, one not
+    assert same.facet_masks == K.facet_masks and calls == [5, 5]
+
+
 def test_clique_complex_budget():
     k5 = Graph.from_edges(5, list(combinations(range(1, 6), 2)))
     with pytest.raises(ValueError):
@@ -252,6 +266,16 @@ def test_is_chordal_examples():
     assert is_chordal(Graph.from_edges(4, list(combinations(range(1, 5), 2))))
     check = is_chordal(one_skeleton(square_partial_cone()))
     assert not check and check.witness == (1, 2, 3, 4)
+
+
+def test_chordless_cycle_found_only_when_read(monkeypatch):
+    calls = []
+    find_hole = simplicial._find_hole
+    monkeypatch.setattr(simplicial, "_find_hole", lambda g: calls.append(g) or find_hole(g))
+    check = is_chordal(one_skeleton(cycle(6)))
+    assert not check and calls == []
+    assert check.witness == tuple(range(1, 7)) and len(calls) == 1
+    assert check.witness == tuple(range(1, 7)) and len(calls) == 1
 
 
 def test_find_induced_cycles_examples():
