@@ -462,10 +462,13 @@ def _domination_table(K):
     s - v for a face s of three or more vertices, every vertex of which is a
     neighbour of w, with s + w not a face but s - u + w a face for each u in
     s - v. In a flag complex s + w is then a clique, hence a face, so
-    ``multi`` is empty and the test is one AND.
-    """
-    faces = K.face_masks
+    ``multi`` is empty, ``single`` is read off the graph, and the test is one
+    AND."""
     adj = K.adjacency
+    if K.flag_check:
+        return [tuple((1 << w, adj[v] & ~adj[w] & ~(1 << w), ()) for w in bits(adj[v]))
+                for v in range(K.m)]
+    faces = K.face_masks
     common = {}  # edge -> mask of the vertices spanning a triangle with it
     multi = {}  # (v, w) -> the obstructions of more than one vertex
     for s in faces:

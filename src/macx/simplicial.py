@@ -472,10 +472,13 @@ def is_chordal(G):
 
 
 def is_minimally_non_chordal(G):
-    """Not chordal, but chordal after deleting any one vertex."""
+    """Not chordal, but chordal after deleting any one vertex (re-tested with
+    its edges removed, as an isolated vertex lies on no cycle)."""
     if is_chordal(G):
         return False
-    return all(is_chordal(G.induced(G.full_mask & ~(1 << v))) for v in range(G.m))
+    return all(is_chordal(Graph(G.labels, tuple(0 if u == v else a & ~(1 << v)
+                                                for u, a in enumerate(G.adj))))
+               for v in range(G.m))
 
 
 def _find_hole(G):

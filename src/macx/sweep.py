@@ -1,13 +1,15 @@
 """Exhaustive verification harness over small flag complexes.
 
 Flag complexes on n labelled vertices are exactly the clique complexes of the
-2^(n(n-1)/2) labelled graphs, so sweeping graphs sweeps flag complexes. For
-each complex the harness evaluates the configured biconditionals, pairing a
-combinatorial classifier with its homological counterpart, and records any
-mismatch as a counterexample carrying enough data to reproduce it standalone.
-An empty counterexample list is the machine-checked form of the theorems.
+2^(n(n-1)/2) labelled graphs. Each check pairs a combinatorial classifier with
+its homological counterpart and is invariant under relabelling, so one graph
+per isomorphism class is checked (``graph_classes``) and counted once per
+labelled graph in its class. A class with a mismatch is expanded to its
+labelled graphs, each recorded as a counterexample carrying enough data to
+reproduce it standalone. An empty counterexample list is the machine-checked
+form of the theorems.
 
-The graph stream can be partitioned across worker processes (MACX_THREADS);
+The classes can be partitioned across worker processes (MACX_THREADS);
 tallies merge by addition and counterexamples are sorted afterwards, so the
 report does not depend on the schedule.
 """
@@ -19,10 +21,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import factorial
 
 from . import classify, homology, simplicial
 from .homology import Z_GROUP, homology_at
-from .simplicial import Graph
+from .simplicial import Graph, bits
 
 CHECK_GROUP = "thm3"          # H_2(R_K) = Z  <=>  cycle-join condition
 CHECK_ALGEBRA = "thm5"        # bigraded row condition  <=>  cycle-join condition
@@ -33,6 +36,9 @@ CHECK_CHORDAL_FREE = "chordal_free"
 ALL_CHECKS = frozenset(
     {CHECK_GROUP, CHECK_ALGEBRA, CHECK_FLAGMNG, CHECK_VANISHING, CHECK_CHORDAL_FREE}
 )
+_TALLIES = ("star_matches", "chordal", "h2_exactly_Z", "one_relator_row",
+            "minimally_non_golod", "golod", "cycle_complexes")
+MAX_SWEEP_VERTICES = 9
 
 
 @dataclass(frozen=True)
@@ -42,8 +48,8 @@ class SweepConfig:
     checks: frozenset = ALL_CHECKS
 
     def __post_init__(self):
-        if not 1 <= self.max_vertices <= 7:
-            raise ValueError("sweeps are supported for 1..7 vertices")
+        if not 1 <= self.max_vertices <= MAX_SWEEP_VERTICES:
+            raise ValueError(f"sweeps are supported for 1..{MAX_SWEEP_VERTICES} vertices")
         unknown = set(self.checks) - ALL_CHECKS
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
@@ -78,79 +84,109 @@ class SweepReport:
             "complexes_checked": self.complexes_checked,
             "tallies": dict(sorted(self.tallies.items())),
             "counterexamples": [
-                {
-                    "n": c.n,
-                    "graph_mask": c.graph_mask,
-                    "check": c.check,
-                    "facets": [list(f) for f in c.facets],
-                    "details": c.details,
-                }
+                {"n": c.n, "graph_mask": c.graph_mask, "check": c.check,
+                 "facets": [list(f) for f in c.facets], "details": c.details}
                 for c in self.counterexamples
             ],
         }
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _edge_list(n):
     return tuple(combinations(range(n), 2))
 
 
-@lru_cache(maxsize=8)
-def _edge_permutation_maps(n):
-    """For each vertex permutation, the induced map on edge indices."""
-    edges = _edge_list(n)
-    index = {e: i for i, e in enumerate(edges)}
-    maps = []
-    for perm in permutations(range(n)):
-        maps.append(tuple(index[tuple(sorted((perm[u], perm[v])))] for u, v in edges))
-    return tuple(maps)
+def _relabelled_mask(adj, order):
+    """Edge mask of the graph whose vertex i is vertex order[i] of adj."""
+    pairs = _edge_list(len(order))
+    return sum(1 << k for k, (i, j) in enumerate(pairs) if adj[order[i]] >> order[j] & 1)
 
 
-def canonical_graph_form(n, mask):
-    """Minimum edge bitmask over all n! vertex relabellings (brute force)."""
-    best = mask
-    for emap in _edge_permutation_maps(n):
-        remapped = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            remapped |= 1 << emap[low.bit_length() - 1]
-            rest ^= low
-        if remapped < best:
-            best = remapped
-    return best
+def _refine(adj, cells):
+    """Split the ordered cells (vertex bitmasks) by each vertex's neighbour
+    count in every cell until those counts are constant on each cell. Only
+    the cells are read, so refining commutes with relabelling."""
+    while True:
+        out = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            split = {}
+            for v in bits(cell):
+                key = tuple((adj[v] & c).bit_count() for c in cells)
+                split[key] = split.get(key, 0) | 1 << v
+            out.extend(split[k] for k in sorted(split))
+        if len(out) == len(cells):
+            return cells
+        cells = out
+
+
+def _canonical_form(adj):
+    """(certificate, |Aut G|): the largest edge mask over the leaves of the
+    tree that refines, then gives each vertex of the first non-singleton
+    cell its own cell in turn. It is searched with no pruning, so the leaves
+    reaching the certificate are one of them composed with each automorphism."""
+    leaves = []
+    stack = [_refine(adj, [(1 << len(adj)) - 1])]
+    while stack:
+        cells = stack.pop()
+        k = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+        if k is None:
+            leaves.append(_relabelled_mask(adj, [c.bit_length() - 1 for c in cells]))
+        else:
+            stack.extend(_refine(adj, cells[:k] + [1 << v, cells[k] ^ 1 << v] + cells[k + 1:])
+                         for v in bits(cells[k]))
+    best = max(leaves)
+    return best, leaves.count(best)
+
+
+def graph_classes(max_n):
+    """Yield, for n = 1..max_n, a dict from the canonical edge mask of each
+    isomorphism class of graphs on n vertices to |Aut G|. Deleting a vertex
+    of least degree leaves a graph on n-1 vertices, so the classes at n are
+    those at n-1 plus a vertex with each neighbourhood S that leaves it of
+    least degree, deduplicated by certificate (after McKay, "Isomorph-free
+    exhaustive generation", J. Algorithms 26, 1998)."""
+    level = {0: 1}
+    yield level
+    for n in range(2, max_n + 1):
+        found = {}
+        for mask in level:
+            adj = _graph_from_mask(n - 1, mask).adj
+            least = min(a.bit_count() for a in adj)
+            lowest = sum(1 << i for i, a in enumerate(adj) if a.bit_count() == least)
+            for S in range(1 << (n - 1)):
+                if S.bit_count() > least + (not lowest & ~S):
+                    continue
+                grown = [a | (S >> i & 1) << (n - 1) for i, a in enumerate(adj)]
+                cert, aut = _canonical_form(grown + [S])
+                found[cert] = aut
+        level = found
+        yield level
 
 
 def _graph_from_mask(n, mask):
-    edges = _edge_list(n)
     adj = [0] * n
-    rest = mask
-    while rest:
-        low = rest & -rest
-        u, v = edges[low.bit_length() - 1]
+    for k in bits(mask):
+        u, v = _edge_list(n)[k]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        rest ^= low
     return Graph(tuple(range(1, n + 1)), tuple(adj))
 
 
 def enumerate_flag_complexes(n, dedup_isomorphism=False):
     """Clique complexes of all labelled graphs on n vertices, in edge-mask
-    order; with dedup, only the lexicographically minimal representative of
-    each isomorphism class is yielded."""
-    if not 1 <= n <= 7:
-        raise ValueError("enumeration is supported for 1..7 vertices")
-    for mask in range(1 << len(_edge_list(n))):
-        if dedup_isomorphism and canonical_graph_form(n, mask) != mask:
-            continue
+    order; with dedup, one per isomorphism class, its canonical form (see
+    ``graph_classes``; not necessarily the class's least mask), in mask
+    order."""
+    if not 1 <= n <= MAX_SWEEP_VERTICES:
+        raise ValueError(f"enumeration is supported for 1..{MAX_SWEEP_VERTICES} vertices")
+    masks = range(1 << len(_edge_list(n)))
+    if dedup_isomorphism:
+        masks = sorted(list(graph_classes(n))[-1])
+    for mask in masks:
         yield simplicial.clique_complex(_graph_from_mask(n, mask))
-
-
-def _bigraded_row_details(table):
-    return [
-        [i, j2, g.free_rank, list(g.torsion)]
-        for (i, j2), g in table.items_sorted()
-    ]
 
 
 def _check_complex(cfg, n, mask, tallies, counterexamples):
@@ -173,7 +209,8 @@ def _check_complex(cfg, n, mask, tallies, counterexamples):
         }
         if groups is not None:
             payload["H_R"] = [[k, g.free_rank, list(g.torsion)] for k, g in enumerate(groups)]
-            payload["bigraded"] = _bigraded_row_details(table)
+            payload["bigraded"] = [[i, j2, g.free_rank, list(g.torsion)]
+                                   for (i, j2), g in table.items_sorted()]
         payload.update(details)
         counterexamples.append(Counterexample(n, mask, check, K.facets(), payload))
 
@@ -219,28 +256,27 @@ def _check_complex(cfg, n, mask, tallies, counterexamples):
             report(CHECK_CHORDAL_FREE, free_group=free)
 
 
-def _run_range(cfg, n, lo, hi):
-    tallies = {
-        "star_matches": 0,
-        "chordal": 0,
-        "h2_exactly_Z": 0,
-        "one_relator_row": 0,
-        "minimally_non_golod": 0,
-        "golod": 0,
-        "cycle_complexes": 0,
-    }
+def _check_classes(cfg, n, classes):
+    """Check one mask per (mask, |Aut|) class and weight its tallies by the
+    class size, n!/|Aut| (1 with dedup). A class with a counterexample is
+    expanded to its orbit, and every mask of it (the least, with dedup) is
+    checked and reported as the labelled sweep would report it."""
+    tallies = dict.fromkeys(_TALLIES, 0)
     counterexamples = []
     checked = 0
-    for mask in range(lo, hi):
-        if cfg.dedup_isomorphism and canonical_graph_form(n, mask) != mask:
-            continue
-        checked += 1
-        _check_complex(cfg, n, mask, tallies, counterexamples)
+    for mask, aut in classes:
+        own, found = dict.fromkeys(_TALLIES, 0), []
+        _check_complex(cfg, n, mask, own, found)
+        weight = 1 if cfg.dedup_isomorphism else factorial(n) // aut
+        checked += weight
+        for key, val in own.items():
+            tallies[key] += weight * val
+        if found:
+            adj = _graph_from_mask(n, mask).adj
+            orbit = sorted({_relabelled_mask(adj, p) for p in permutations(range(n))})
+            for labelled in orbit[:1] if cfg.dedup_isomorphism else orbit:
+                _check_complex(cfg, n, labelled, dict.fromkeys(_TALLIES, 0), counterexamples)
     return checked, tallies, counterexamples
-
-
-def _range_worker(args):
-    return _run_range(*args)
 
 
 def workers_from_environment():
@@ -254,30 +290,26 @@ def workers_from_environment():
 
 def run_sweep(cfg, workers=None):
     """Run the configured checks over every flag complex on 1..max_vertices
-    vertices. Worker count defaults to ``workers_from_environment()``;
-    results are schedule-independent."""
+    vertices, by isomorphism class (see ``_check_classes``). Worker count
+    defaults to ``workers_from_environment()``; results are
+    schedule-independent."""
     if workers is None:
         workers = workers_from_environment()
     jobs = []
-    for n in range(1, cfg.max_vertices + 1):
-        total = 1 << len(_edge_list(n))
-        if workers > 1 and total > 4 * workers:
-            step = (total + 4 * workers - 1) // (4 * workers)
-            jobs.extend((cfg, n, lo, min(lo + step, total)) for lo in range(0, total, step))
-        else:
-            jobs.append((cfg, n, 0, total))
+    for n, classes in enumerate(graph_classes(cfg.max_vertices), start=1):
+        reps = sorted(classes.items())
+        step = -(-len(reps) // (4 * workers))
+        jobs.extend((cfg, n, reps[lo:lo + step]) for lo in range(0, len(reps), step))
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_range_worker, jobs))
+            results = list(pool.map(_check_classes, *zip(*jobs)))
     else:
-        results = [_run_range(*job) for job in jobs]
-    checked = 0
-    tallies = {}
-    counterexamples = []
+        results = [_check_classes(*job) for job in jobs]
+    checked, tallies, counterexamples = 0, dict.fromkeys(_TALLIES, 0), []
     for part_checked, part_tallies, part_cex in results:
         checked += part_checked
         for key, val in part_tallies.items():
-            tallies[key] = tallies.get(key, 0) + val
+            tallies[key] += val
         counterexamples.extend(part_cex)
     counterexamples.sort(key=lambda c: (c.n, c.graph_mask, c.check))
     return SweepReport(cfg, checked, counterexamples, tallies)

@@ -265,6 +265,13 @@ def test_verify_theorems_clean(capsys):
     assert data["counterexamples"] == []
 
 
+def test_verify_theorems_rejects_ten_vertices(capsys):
+    assert main(["verify-theorems", "--max-vertices", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sweeps are supported for 1..9 vertices\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "-3", "0", "2.5", " 2", "\u00b2"])
 def test_verify_theorems_rejects_bad_thread_count(monkeypatch, capsys, value):
     monkeypatch.setenv("MACX_THREADS", value)

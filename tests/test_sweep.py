@@ -1,10 +1,14 @@
+import json
 from itertools import combinations, permutations
+from math import comb, factorial
 
 import pytest
 
 from macx import simplicial, sweep
 from macx.simplicial import CheckResult, classify_star_condition
-from macx.sweep import SweepConfig, enumerate_flag_complexes, run_sweep
+from macx.sweep import SweepConfig, SweepReport, enumerate_flag_complexes, graph_classes, run_sweep
+
+A000088 = [1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668]  # graphs on n vertices
 
 
 def test_labelled_counts():
@@ -22,7 +26,7 @@ def test_enumeration_range_validation():
     with pytest.raises(ValueError):
         list(enumerate_flag_complexes(0))
     with pytest.raises(ValueError):
-        list(enumerate_flag_complexes(8))
+        list(enumerate_flag_complexes(10))
 
 
 def test_cycle_join_classes_on_five_vertices():
@@ -121,7 +125,7 @@ def test_counterexample_payload_reproduces(monkeypatch):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SweepConfig(max_vertices=9)
+        SweepConfig(max_vertices=10)
     with pytest.raises(ValueError):
         SweepConfig(checks=frozenset({"bogus"}))
 
@@ -132,3 +136,102 @@ def test_report_json_shape():
     assert data["complexes_checked"] == 11
     assert data["counterexamples"] == []
     assert set(data["tallies"]) >= {"star_matches", "chordal"}
+
+
+# -- the class sweep against the labelled loop -------------------------------
+
+
+def test_class_counts_and_orbit_sizes():
+    for n, classes in enumerate(graph_classes(7), start=1):
+        assert len(classes) == A000088[n]
+        assert sum(factorial(n) // aut for aut in classes.values()) == 2 ** comb(n, 2)
+
+
+def _nx_graph(nx, n, mask):
+    G = nx.Graph()
+    G.add_nodes_from(range(n))
+    G.add_edges_from(e for i, e in enumerate(combinations(range(n), 2)) if mask >> i & 1)
+    return G
+
+
+def test_classes_match_the_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def invariant(G):  # isomorphic graphs share it
+        return len(G), G.number_of_edges(), tuple(sorted(
+            (d, nx.triangles(G, v)) for v, d in G.degree()))
+
+    atlas = {}
+    for G in nx.graph_atlas_g():
+        atlas.setdefault(invariant(G), []).append(G)
+    matched = set()
+    for n, classes in enumerate(graph_classes(7), start=1):
+        for mask, aut in classes.items():
+            G = _nx_graph(nx, n, mask)
+            hits = {id(H) for H in atlas[invariant(G)] if nx.is_isomorphic(G, H)}
+            assert len(hits) == 1 and not hits & matched
+            matched |= hits
+            if n <= 6:
+                assert aut == sum(1 for _ in GraphMatcher(G, G).isomorphisms_iter())
+    assert len(matched) == sum(len(b) for b in atlas.values()) - 1  # the atlas holds n = 0
+
+
+def _least_mask(n, mask):
+    """Brute force: the least edge mask over all relabellings."""
+    edges = list(combinations(range(n), 2))
+    index = {e: i for i, e in enumerate(edges)}
+    present = [e for i, e in enumerate(edges) if mask >> i & 1]
+    return min(
+        sum(1 << index[tuple(sorted((p[u], p[v])))] for u, v in present)
+        for p in permutations(range(n))
+    )
+
+
+def _labelled_sweep(cfg):
+    """The oracle: every labelled graph checked on its own; with dedup, the
+    least mask of each class, found by brute force."""
+    tallies = dict.fromkeys(sweep._TALLIES, 0)
+    counterexamples = []
+    checked = 0
+    for n in range(1, cfg.max_vertices + 1):
+        for mask in range(1 << comb(n, 2)):
+            if cfg.dedup_isomorphism and _least_mask(n, mask) != mask:
+                continue
+            checked += 1
+            sweep._check_complex(cfg, n, mask, tallies, counterexamples)
+    counterexamples.sort(key=lambda c: (c.n, c.graph_mask, c.check))
+    return SweepReport(cfg, checked, counterexamples, tallies)
+
+
+def _json(report):
+    return json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+@pytest.mark.parametrize("checks", [{c} for c in sorted(sweep.ALL_CHECKS)] + [sweep.ALL_CHECKS])
+def test_class_sweep_matches_labelled_oracle(checks, dedup):
+    cfg = SweepConfig(max_vertices=5, dedup_isomorphism=dedup, checks=frozenset(checks))
+    assert _json(run_sweep(cfg, workers=1)) == _json(_labelled_sweep(cfg))
+
+
+def test_class_sweep_matches_labelled_oracle_on_six_vertices():
+    cfg = SweepConfig(max_vertices=6)
+    assert _json(run_sweep(cfg, workers=1)) == _json(_labelled_sweep(cfg))
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+def test_failing_classes_expand_like_the_oracle(monkeypatch, dedup):
+    true_is_chordal = simplicial.is_chordal
+    monkeypatch.setattr(simplicial, "is_chordal",
+                        lambda g: CheckResult(not true_is_chordal(g).ok))
+    cfg = SweepConfig(max_vertices=5, dedup_isomorphism=dedup,
+                      checks=frozenset({"chordal_free", "flagmng"}))
+    report = run_sweep(cfg, workers=1)
+    assert report.counterexamples == _labelled_sweep(cfg).counterexamples
+    masks = {(c.n, c.graph_mask) for c in report.counterexamples}
+    if dedup:  # every class fails; each is reported by its least mask
+        assert len(masks) == sum(A000088[1:6])
+        assert all(_least_mask(n, mask) == mask for n, mask in masks)
+    else:
+        assert len(masks) == 1 + 2 + 8 + 64 + 1024
