@@ -52,7 +52,6 @@ from .generators import (
     GeneratorSet,
     enumerate_generators,
     generator_count,
-    render_word,
 )
 from .loop_algebra import (
     FreeDGAlgebra,

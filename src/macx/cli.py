@@ -156,8 +156,7 @@ def _print_analysis(data):
               f"one-relator algebra: {data['one_relator_algebra']}")
         print(f"Golod: {data['golod']}    minimally non-Golod: {data['minimally_non_golod']}")
     print(f"generators ({data['generator_count']}):")
-    for word in data["generators_group"]:
-        print(f"  {word}")
+    print("".join(f"  {word}\n" for word in data["generators_group"]), end="")
     print("H_*(R_K):")
     for entry in data["H_R"]:
         g = homology.HomologyGroup.from_divisors(entry["rank"], entry["torsion"])
@@ -208,9 +207,7 @@ def cmd_generators(args):
         }
         print(json.dumps(data, sort_keys=True, indent=2))
     else:
-        for word in gens.words:
-            print(word.render())
-        print(f"count: {gens.count}")
+        print("".join(f"{word}\n" for word in gens.rendered()) + f"count: {gens.count}")
     return 0
 
 

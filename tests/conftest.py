@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from macx.simplicial import Graph, SimplicialComplex
+from macx.simplicial import Graph, SimplicialComplex, one_skeleton
 
 
 # -- standard complexes -----------------------------------------------------
@@ -83,6 +83,50 @@ def union_find_components(vertices, edges):
     for v in vertices:
         comps.setdefault(find(v), set()).add(v)
     return [frozenset(c) for c in comps.values()]
+
+
+def component_search_words(K):
+    """Generator words as (prefix, j, i) label triples, subsets J ascending
+    and then i ascending: one breadth-first component search per subset,
+    and a word for each component of K_J without j = max J, with i its
+    lowest vertex and prefix J minus {i, j}."""
+    graph = one_skeleton(K)
+    words = []
+    for J in range(1, K.full_mask + 1):
+        jpos = J.bit_length() - 1
+        for comp in graph.component_masks(J):
+            if comp >> jpos & 1:
+                continue
+            ipos = (comp & -comp).bit_length() - 1
+            prefix = K.labels_of(J & ~(1 << jpos) & ~(1 << ipos))
+            words.append((prefix, K.labels[jpos], K.labels[ipos]))
+    return words
+
+
+def nested_commutator_text(prefix, j, i, kind):
+    """A word rendered by nesting one commutator at a time, innermost first."""
+    left, right, letter = ("(", ")", "g") if kind == "group" else ("[", "]", "u")
+    word = f"{left}{letter}_{j},{letter}_{i}{right}"
+    for k in reversed(prefix):
+        word = f"{left}{letter}_{k},{word}{right}"
+    return word
+
+
+def validate_word(K, word):
+    """Re-check the side conditions of a word against the complex, without
+    going through the enumeration: the constructor enforces the index
+    inequalities, so what remains is the component condition on the word's
+    own support."""
+    graph = one_skeleton(K)
+    support = K.mask_of(word.support)
+    jpos = K.mask_of((word.j,)).bit_length() - 1
+    ipos = K.mask_of((word.i,)).bit_length() - 1
+    for comp in graph.component_masks(support):
+        if comp >> ipos & 1:
+            if comp >> jpos & 1:
+                return False
+            return ipos == (comp & -comp).bit_length() - 1
+    return False
 
 
 def brute_missing_faces(K):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +203,28 @@ def test_generators_command(partial_cone_file, capsys):
     assert data["count"] == 4
     assert data["words"][0] == "[u_3,u_1]"
     assert data["data"][3] == {"prefix": [2], "j": 5, "i": 4}
+
+
+def test_generator_words_need_no_component_search(monkeypatch, tmp_path, capsys):
+    """The generator walk reads components from its table: a per-subset
+    component search anywhere in analyze or generators is a regression."""
+    c6 = tmp_path / "c6.cx"
+    c6.write_text("vertices 6\n" + "".join(f"facet {i} {i % 6 + 1}\n" for i in range(1, 7)))
+    samples = sorted(Path(__file__).resolve().parent.parent.glob("samples/*.cx"))
+    assert samples
+
+    def no_search(self, within=None):
+        raise AssertionError("component search per subset")
+
+    monkeypatch.setattr(simplicial.Graph, "component_masks", no_search)
+    for path in [str(c6), *map(str, samples)]:
+        for argv in (["analyze", path], ["analyze", path, "--json"],
+                     ["generators", path], ["generators", path, "--json"],
+                     ["generators", path, "--kind", "algebra"],
+                     ["generators", path, "--kind", "algebra", "--json"]):
+            assert main(argv) == 0, argv
+    out = capsys.readouterr().out
+    assert "(g_3,g_1)" in out and "[u_3,u_1]" in out
 
 
 def test_poincare_command(capsys):

@@ -1,14 +1,19 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     all_graphs,
+    component_search_words,
     cycle,
+    nested_commutator_text,
     simplex,
     square_cone,
     square_partial_cone,
     union_find_components,
+    validate_word,
 )
 from macx.classify import surface_genus
 from macx.generators import (
@@ -17,11 +22,23 @@ from macx.generators import (
     CommutatorWord,
     enumerate_generators,
     generator_count,
-    render_word,
-    validate_word,
 )
 from macx.homology import homology_R
-from macx.simplicial import clique_complex
+from macx.simplicial import Graph, SimplicialComplex, clique_complex, full_subcomplex
+
+
+def assert_matches_component_search(K):
+    """The walk against the per-subset component search: the (prefix, j, i)
+    data, the rendered words of both kinds and the count."""
+    expected = component_search_words(K)
+    assert generator_count(K) == len(expected)
+    for kind in (GROUP, ALGEBRA):
+        gens = enumerate_generators(K, kind)
+        assert gens.count == len(gens.words) == len(expected)
+        assert [(w.prefix, w.j, w.i) for w in gens.words] == expected
+        assert gens.rendered() == [nested_commutator_text(*w, kind) for w in expected]
+        other = ALGEBRA if kind == GROUP else GROUP
+        assert gens.rendered(other) == [nested_commutator_text(*w, other) for w in expected]
 
 
 def test_counts_on_cycles():
@@ -55,10 +72,11 @@ def test_words_square():
 
 
 def test_render_word():
-    assert render_word(CommutatorWord(GROUP, (2,), 5, 4)) == "(g_2,(g_5,g_4))"
-    assert render_word(CommutatorWord(ALGEBRA, (), 3, 1)) == "[u_3,u_1]"
-    assert render_word(CommutatorWord(GROUP, (), 2, 1)) == "(g_2,g_1)"
-    assert render_word(CommutatorWord(ALGEBRA, (2, 3), 5, 1)) == "[u_2,[u_3,[u_5,u_1]]]"
+    assert CommutatorWord(GROUP, (2,), 5, 4).render() == "(g_2,(g_5,g_4))"
+    assert CommutatorWord(ALGEBRA, (), 3, 1).render() == "[u_3,u_1]"
+    assert CommutatorWord(GROUP, (), 2, 1).render() == "(g_2,g_1)"
+    assert CommutatorWord(ALGEBRA, (2, 3), 5, 1).render() == "[u_2,[u_3,[u_5,u_1]]]"
+    assert CommutatorWord(GROUP, (10, 12), 31, 11).render() == "(g_10,(g_12,(g_31,g_11)))"
     assert CommutatorWord(GROUP, (2,), 5, 4).render(ALGEBRA) == "[u_2,[u_5,u_4]]"
     assert CommutatorWord(ALGEBRA, (2,), 5, 4).render(GROUP) == "(g_2,(g_5,g_4))"
 
@@ -72,21 +90,54 @@ def test_word_shape_validation():
         CommutatorWord(GROUP, (1,), 4, 1)     # prefix collides with i
     with pytest.raises(ValueError):
         CommutatorWord("ring", (), 2, 1)
+    with pytest.raises(ValueError):
+        enumerate_generators(cycle(4), "ring")
 
 
 def test_count_matches_enumeration_exhaustively():
     for n in range(1, 6):
         for g in all_graphs(n):
-            K = clique_complex(g)
-            count = generator_count(K)
-            group_words = enumerate_generators(K, GROUP)
-            algebra_words = enumerate_generators(K, ALGEBRA)
-            assert group_words.count == count
-            assert algebra_words.count == count
-            assert [(w.prefix, w.j, w.i) for w in group_words.words] == \
-                [(w.prefix, w.j, w.i) for w in algebra_words.words]
-            assert group_words.rendered(ALGEBRA) == algebra_words.rendered()
-            assert algebra_words.rendered(GROUP) == group_words.rendered()
+            assert_matches_component_search(clique_complex(g))
+
+
+def test_walk_matches_component_search_on_six_vertex_classes():
+    """Every graph on six vertices up to isomorphism, on labels 1..6 and on
+    non-contiguous multi-digit labels."""
+    nx = pytest.importorskip("networkx")
+    graphs = [g for g in nx.graph_atlas_g() if g.number_of_nodes() == 6]
+    assert len(graphs) == 156
+    for labels in ((1, 2, 3, 4, 5, 6), (3, 10, 11, 27, 40, 99)):
+        for g in graphs:
+            edges = [(labels[u], labels[v]) for u, v in g.edges()]
+            assert_matches_component_search(clique_complex(Graph.from_edges(labels, edges)))
+
+
+def test_walk_on_multi_digit_labels():
+    K = full_subcomplex(cycle(14, labels=range(10, 24)), [10, 11, 13, 14, 17, 20, 22, 23])
+    assert K.labels == (10, 11, 13, 14, 17, 20, 22, 23)
+    assert enumerate_generators(K).rendered()[:3] == [
+        "(g_13,g_10)", "(g_13,g_11)", "(g_11,(g_13,g_10))",
+    ]
+    assert_matches_component_search(K)
+
+
+@st.composite
+def complexes(draw):
+    """Complexes on at most nine vertices with labels drawn from 1..40:
+    arbitrary facet lists, mostly not flag, and clique complexes."""
+    labels = draw(st.lists(st.integers(1, 40), min_size=1, max_size=9, unique=True))
+    if draw(st.booleans()):
+        pairs = list(combinations(labels, 2))
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+        return clique_complex(Graph.from_edges(labels, edges))
+    facet = st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True)
+    return SimplicialComplex.from_facets(draw(st.lists(facet, max_size=12)), labels)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(complexes())
+def test_walk_matches_component_search_on_drawn_complexes(K):
+    assert_matches_component_search(K)
 
 
 def test_emitted_words_satisfy_side_conditions():
