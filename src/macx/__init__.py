@@ -16,6 +16,7 @@ from .simplicial import (
     is_flag,
     is_minimally_non_chordal,
     join,
+    join_factors,
     link,
     one_skeleton,
     star,
@@ -23,14 +24,11 @@ from .simplicial import (
 from .homology import (
     BigradedTable,
     HomologyGroup,
-    IntMatrix,
     betti_Z,
     bigraded_homology_Z,
-    boundary_matrix,
     homology_R,
     homology_R_and_Z,
     reduced_homology,
-    smith_normal_form,
 )
 from .classify import (
     ClassificationReport,

@@ -17,6 +17,7 @@ non-Golodness minimal non-chordality) and no subcomplex is rebuilt.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from . import homology, simplicial
 from .homology import HomologyGroup, Z_GROUP, ZERO_GROUP, homology_at
@@ -155,9 +156,10 @@ class RelatorWord:
 
 def y_space_homology(l, relator):
     """Homology of the 2-complex with l circles and one 2-cell attached along
-    the relator: H_0 = Z, H_2 = Z exactly when all exponent sums vanish, and
-    H_1 the abelianisation cokernel computed by Smith normal form of the
-    1 x l exponent matrix. Everything above degree 2 is zero.
+    the relator: H_0 = Z, and the cellular boundary of the 2-cell is the row
+    of exponent sums, whose Smith form is its gcd g. So H_1 = Z^(l-1) + Z/g
+    and H_2 = 0, or H_1 = Z^l and H_2 = Z when every sum vanishes. Everything
+    above degree 2 is zero.
     """
     if l < 1:
         raise ValueError("need at least one generator")
@@ -165,16 +167,10 @@ def y_space_homology(l, relator):
         raise ValueError("relator must be nonempty")
     if relator.max_index() > l:
         raise ValueError("relator uses a generator beyond the basis")
-    sums = relator.exponent_sums(l)
-    matrix = homology.IntMatrix.from_rows([sums])
-    diag, rank = homology.smith_normal_form(matrix)
-    if rank == 0:
-        h1 = HomologyGroup(l)
-        h2 = Z_GROUP
-    else:
-        h1 = HomologyGroup.from_divisors(l - 1, [d for d in diag if d > 1])
-        h2 = ZERO_GROUP
-    return [Z_GROUP, h1, h2]
+    g = gcd(*relator.exponent_sums(l))
+    if g == 0:
+        return [Z_GROUP, HomologyGroup(l), Z_GROUP]
+    return [Z_GROUP, HomologyGroup.from_divisors(l - 1, [g]), ZERO_GROUP]
 
 
 @dataclass

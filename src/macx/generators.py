@@ -147,9 +147,8 @@ def _concatenations(pieces):
 
 
 def _word_codes(K):
-    """The codes of all generator words, J ascending, then i ascending."""
+    """The codes of all generator words, J ascending, then i ascending, lazily."""
     m = K.m
-    codes = []
     table = [()]  # table[S]: components of K_S by lowest bit, S without the top vertex
     for j, adj in enumerate(K.adjacency):
         bit = 1 << j
@@ -163,17 +162,16 @@ def _word_codes(K):
                 else:
                     comps.append(comp)
                     low = comp & -comp
-                    codes.append((rest ^ low) << m | low | bit)
+                    yield (rest ^ low) << m | low | bit
             if j < m - 1:
                 comps.insert(at, merged)  # at == m appends: j alone comes last
                 table.append(tuple(comps))
-    return codes
 
 
 def generator_count(K):
     """Sum over all vertex subsets J of rank H~_0(K_J), i.e. the number of
     connected components of K_J minus one (floored at zero)."""
-    return len(_word_codes(K))
+    return sum(1 for _ in _word_codes(K))
 
 
 def enumerate_generators(K, kind=GROUP):
@@ -185,4 +183,5 @@ def enumerate_generators(K, kind=GROUP):
     smallest vertex and prefix J minus {i, j}."""
     if kind not in (GROUP, ALGEBRA):
         raise ValueError(f"unknown word kind {kind!r}")
-    return GeneratorSet(K.labels, tuple(_word_codes(K)), kind)
+    # through a list: a tuple built straight from the walk grows by resizing
+    return GeneratorSet(K.labels, tuple(list(_word_codes(K))), kind)

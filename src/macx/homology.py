@@ -21,15 +21,25 @@ from the walk's own array. For a flag complex, K_J is determined by J and the
 edges of the induced subgraph, so the homology of its cores is memoized
 across walks under that key; sweeps over all graphs on a few vertices share
 most of their cores. The memo holds at most ``MEMO_LIMIT`` entries.
+
+A join is walked one factor at a time. If K = K_A * K_B (see
+``simplicial.join_factors``), then K_J = K_{J&A} * K_{J&B}, and Milnor's
+formula H~_{n+1}(X * Y) = sum over i + j = n of H~_i(X) (x) H~_j(Y), plus the
+sum over i + j = n - 1 of Tor(H~_i(X), H~_j(Y)), gives the tally of K from
+those of the factors: the subset form of Z_{K_A * K_B} = Z_{K_A} x Z_{K_B}
+(Buchstaber and Panov, "Toric Topology", ch. 4). A walk over 2^|A| + 2^|B|
+subsets replaces one over 2^(|A| + |B|).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import islice
+from math import gcd
 
-from .simplicial import MAX_VERTICES, bits
+from .simplicial import MAX_VERTICES, bits, join_factors
 
 
 def _factorize(n):
@@ -114,38 +124,6 @@ class HomologyGroup:
 
 ZERO_GROUP = HomologyGroup()
 Z_GROUP = HomologyGroup(1)
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix, row-major. Entries may grow during elimination,
-    so plain Python integers are used throughout."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows_list):
-        rows = len(rows_list)
-        cols = len(rows_list[0]) if rows else 0
-        if any(len(r) != cols for r in rows_list):
-            raise ValueError("ragged rows")
-        return cls(rows, cols, tuple(tuple(r) for r in rows_list))
-
-
-def smith_normal_form(M):
-    """Diagonal (d_1 | d_2 | ...) of the Smith normal form of M and its rank.
-
-    Only the nonzero diagonal entries are returned; transformation matrices
-    are not computed. The matrix goes through ``sparse_rank_invariants``, the
-    one elimination path.
-    """
-    columns = [
-        {i: row[j] for i, row in enumerate(M.entries) if row[j]} for j in range(M.cols)
-    ]
-    rank, diag = sparse_rank_invariants(columns)
-    return diag, rank
 
 
 def sparse_rank_invariants(columns):
@@ -338,25 +316,7 @@ def _find_pivot(mat, t, nr, nc):
     return best
 
 
-# -- boundary matrices and reduced homology --------------------------------
-
-
-def boundary_matrix(K, k):
-    """The matrix of the k-th boundary map, oriented by ascending vertex
-    order with alternating signs. For k = 0 this is the augmentation row
-    (all ones), so that the homology computed downstream is reduced."""
-    if k < 0:
-        raise ValueError("dimension must be nonnegative")
-    sources = sorted(f for f in K.face_masks if f.bit_count() == k + 1)
-    if k == 0:
-        return IntMatrix.from_rows([[1] * len(sources)])
-    targets = sorted(f for f in K.face_masks if f.bit_count() == k)
-    index = {f: i for i, f in enumerate(targets)}
-    rows = [[0] * len(sources) for _ in targets]
-    for j, f in enumerate(sources):
-        for r, b in enumerate(bits(f)):
-            rows[index[f & ~(1 << b)]][j] = -1 if r % 2 else 1
-    return IntMatrix.from_rows(rows)
+# -- reduced homology -------------------------------------------------------
 
 
 # Core homologies of flag complexes shared across subset walks, keyed by the
@@ -567,6 +527,45 @@ def _per_subset_groups(K):
     }
 
 
+def _subset_tally(K):
+    """The tally of ``_per_subset_groups`` for K, from one walk per join factor."""
+    factors = join_factors(K)
+    if len(factors) < 2:
+        return _per_subset_groups(K)
+    return reduce(_join_tallies, [_per_subset_groups(K.induced(mask)) for mask in factors])
+
+
+def _join_tallies(first, second):
+    """The tally of K_A * K_B from those of K_A and K_B. A K_J1 * K_J2 with
+    both parts nonempty has reduced homology only if both parts do."""
+    out = Counter(first)
+    out.update(second)
+    for (s1, g1), n1 in first.items():
+        for (s2, g2), n2 in second.items():
+            groups = _join_groups(g1, g2)
+            if groups:
+                out[s1 + s2, groups] += n1 * n2
+    return out
+
+
+def _join_groups(xs, ys):
+    """H~(X * Y) from H~(X) and H~(Y) of nonempty X and Y by Milnor's formula,
+    trailing zeros dropped: Z/d (x) Z/e = Tor(Z/d, Z/e) = Z/gcd(d, e)."""
+    free = [0] * (len(xs) + len(ys) + 1)
+    torsion = [[] for _ in free]
+    for i, g in enumerate(xs):
+        for j, h in enumerate(ys):
+            free[i + j + 1] += g.free_rank * h.free_rank
+            torsion[i + j + 1] += g.torsion * h.free_rank + h.torsion * g.free_rank
+            both = [gcd(d, e) for d in g.torsion for e in h.torsion]
+            torsion[i + j + 1] += both
+            torsion[i + j + 2] += both
+    groups = [HomologyGroup.from_divisors(f, t) for f, t in zip(free, torsion)]
+    while groups and groups[-1].is_zero:
+        groups.pop()
+    return tuple(groups)
+
+
 def _position(groups, distinct, index):
     i = index.get(groups)
     if i is None:
@@ -591,7 +590,7 @@ def _assemble_R(K, tally):
 def homology_R(K):
     """H_k(R_K) for 0 <= k <= dim K + 1 via the subset decomposition
     H_k = direct sum over J of H~_{k-1}(K_J)."""
-    return _assemble_R(K, _per_subset_groups(K))
+    return _assemble_R(K, _subset_tally(K))
 
 
 @dataclass
@@ -637,13 +636,13 @@ def _assemble_Z(K, tally):
 
 def bigraded_homology_Z(K):
     """The table H_{-i,2j}(Z_K) = direct sum over |J| = j of H~_{j-i-1}(K_J)."""
-    return _assemble_Z(K, _per_subset_groups(K))
+    return _assemble_Z(K, _subset_tally(K))
 
 
 def homology_R_and_Z(K):
     """H_*(R_K) and the bigraded table of H(Z_K), from one walk over the full
-    subcomplexes."""
-    tally = _per_subset_groups(K)
+    subcomplexes of each join factor."""
+    tally = _subset_tally(K)
     return _assemble_R(K, tally), _assemble_Z(K, tally)
 
 

@@ -227,6 +227,21 @@ class SimplicialComplex:
                 adj[b] |= 1 << a
         return tuple(adj)
 
+    def induced(self, mask):
+        """The full subcomplex on a position bitmask, its vertices renumbered
+        in order. Full subcomplexes of a flag complex are flag, so that verdict
+        is passed on rather than recomputed."""
+        rank = {1 << b: 1 << r for r, b in enumerate(bits(mask))}
+        faces = {0: 0}
+        for f in self.sorted_face_masks:  # f minus its top vertex comes first
+            if f and not f & ~mask:
+                top = 1 << f.bit_length() - 1
+                faces[f] = faces[f ^ top] | rank[top]
+        sub = SimplicialComplex(self.labels_of(mask), frozenset(faces.values()))
+        if self.flag_check:
+            object.__setattr__(sub, "flag_check", self.flag_check)
+        return sub
+
     @cached_property
     def flag_check(self):
         """Whether every missing face has exactly two vertices.
@@ -360,8 +375,7 @@ def _on_support(K, faces):
 
 def full_subcomplex(K, subset):
     """The full subcomplex K_J: all faces of K contained in the vertex set J."""
-    keep = ~K.mask_of(subset)
-    return _on_support(K, [f for f in K.face_masks if f & keep == 0])
+    return K.induced(K.mask_of(subset))
 
 
 def link(K, j):
@@ -394,6 +408,38 @@ def join(K, L):
         for g in L.face_masks:
             faces.add(f | (g << K.m))
     return SimplicialComplex._from_faces(range(1, total + 1), faces)
+
+
+def join_factors(K):
+    """Vertex masks of the finest join decomposition K = K_A1 * ... * K_Ar,
+    ordered by lowest bit; a complex on no vertices has none.
+
+    K = K_A * K_B exactly when every minimal non-face lies in A or in B, so
+    the factors are the components of the hypergraph of minimal non-faces; a
+    vertex in none of them, a cone point, is a factor by itself. For a flag
+    complex the minimal non-faces are the non-edges, and the factors are the
+    components of the complement graph.
+    """
+    full = K.full_mask
+    apart = [full & ~a & ~(1 << v) for v, a in enumerate(K.adjacency)]
+    if not K.flag_check:
+        faces = K.face_masks
+        for n in _clique_extensions(K.adjacency, [f for f in faces if f.bit_count() > 1]):
+            if n not in faces and all(n ^ 1 << u in faces for u in bits(n)):
+                for v in bits(n):
+                    apart[v] |= n
+    factors = []
+    while full:
+        comp = frontier = full & -full
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= apart[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        factors.append(comp)
+        full ^= comp
+    return tuple(factors)
 
 
 def one_skeleton(K):

@@ -7,10 +7,12 @@ by field elimination, Euler characteristics by cell counting.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from macx.simplicial import Graph, SimplicialComplex, one_skeleton
+from macx.homology import sparse_rank_invariants
+from macx.simplicial import Graph, SimplicialComplex, bits, one_skeleton
 
 
 # -- standard complexes -----------------------------------------------------
@@ -141,6 +143,51 @@ def brute_missing_faces(K):
             if all(frozenset(c) in faces for c in combinations(sub, size - 1)):
                 missing.append(s)
     return missing
+
+
+@dataclass(frozen=True)
+class IntMatrix:
+    """Dense integer matrix, row-major, for the dense Smith-form route."""
+
+    rows: int
+    cols: int
+    entries: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def from_rows(cls, rows_list):
+        rows = len(rows_list)
+        cols = len(rows_list[0]) if rows else 0
+        if any(len(r) != cols for r in rows_list):
+            raise ValueError("ragged rows")
+        return cls(rows, cols, tuple(tuple(r) for r in rows_list))
+
+
+def smith_normal_form(M):
+    """Nonzero diagonal (d_1 | d_2 | ...) of the Smith normal form of a dense
+    matrix, and its rank, through the package's elimination kernel."""
+    columns = [
+        {i: row[j] for i, row in enumerate(M.entries) if row[j]} for j in range(M.cols)
+    ]
+    rank, diag = sparse_rank_invariants(columns)
+    return diag, rank
+
+
+def boundary_matrix(K, k):
+    """The matrix of the k-th boundary map, oriented by ascending vertex
+    order with alternating signs. For k = 0 this is the augmentation row
+    (all ones), so that the homology computed from it is reduced."""
+    if k < 0:
+        raise ValueError("dimension must be nonnegative")
+    sources = sorted(f for f in K.face_masks if f.bit_count() == k + 1)
+    if k == 0:
+        return IntMatrix.from_rows([[1] * len(sources)])
+    targets = sorted(f for f in K.face_masks if f.bit_count() == k)
+    index = {f: i for i, f in enumerate(targets)}
+    rows = [[0] * len(sources) for _ in targets]
+    for j, f in enumerate(sources):
+        for r, b in enumerate(bits(f)):
+            rows[index[f & ~(1 << b)]][j] = -1 if r % 2 else 1
+    return IntMatrix.from_rows(rows)
 
 
 def euler_characteristic_real(K):

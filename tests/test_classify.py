@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from conftest import (
+    IntMatrix,
     all_graphs,
     cycle,
     simplex,
+    smith_normal_form,
     square_broken_cone,
     square_cone,
     square_partial_cone,
@@ -166,6 +170,21 @@ def test_y_space_disc():
 def test_y_space_square_relator():
     word = RelatorWord.from_ints([1, 1])
     assert y_space_homology(2, word) == [Z, HomologyGroup(1, (2,)), ZERO]
+
+
+def test_y_space_against_dense_smith_form():
+    # H_1 is the cokernel of the 1 x l row of exponent sums, H_2 its kernel
+    rng = random.Random(8)
+    for _ in range(200):
+        l = rng.randint(1, 4)
+        letters = [rng.choice((1, -1)) * rng.randint(1, l) for _ in range(rng.randint(1, 12))]
+        if any(a == -b for a, b in zip(letters, letters[1:])):
+            continue  # not freely reduced
+        word = RelatorWord.from_ints(letters)
+        diag, rank = smith_normal_form(IntMatrix.from_rows([word.exponent_sums(l)]))
+        assert y_space_homology(l, word) == [
+            Z, HomologyGroup.from_divisors(l - rank, [d for d in diag if d > 1]),
+            HomologyGroup(1 - rank)]
 
 
 def test_y_space_rejects_bad_input():

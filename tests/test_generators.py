@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -170,3 +171,22 @@ def test_zero_count_iff_h1_vanishes():
 def test_cycle_counts_match_genus():
     for p in range(4, 9):
         assert generator_count(cycle(p)) == 2 * surface_genus(p)
+
+
+def test_count_keeps_no_word_list():
+    """generator_count walks the words without storing them: its traced
+    allocation peak is at most half that of the enumeration."""
+    K = cycle(16)
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn(K)
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    enumerated, gens = peak(enumerate_generators)
+    counted, count = peak(generator_count)
+    assert count == gens.count == 2 * surface_genus(16)
+    assert counted <= enumerated / 2

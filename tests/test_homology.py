@@ -4,13 +4,16 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    IntMatrix,
     all_graphs,
+    boundary_matrix,
     cycle,
     euler_characteristic_real,
     projective_plane,
     rank_mod_p,
     rank_over_q,
     simplex,
+    smith_normal_form,
     square_broken_cone,
     square_cone,
     square_partial_cone,
@@ -18,14 +21,11 @@ from conftest import (
 from macx import homology
 from macx.homology import (
     HomologyGroup,
-    IntMatrix,
     betti_Z,
     bigraded_homology_Z,
-    boundary_matrix,
     homology_R,
     homology_R_and_Z,
     reduced_homology,
-    smith_normal_form,
 )
 from macx.simplicial import (
     Graph,
