@@ -2,10 +2,10 @@
 
 Homology of a complex is computed from its boundary matrices by Smith normal
 form over arbitrary-precision integers, never modulo a prime or in floating
-point. One kernel, ``sparse_rank_invariants``, does every elimination: it
-removes +-1 pivots on sparse rows, which clears nearly all of a boundary
-matrix, and runs a dense Smith form only on the unit-free residual. On top of
-that sit the two sweeps over full subcomplexes:
+point. One kernel, ``sparse_rank_invariants``, does every elimination on
+sparse rows: it removes +-1 pivots, which clears nearly all of a boundary
+matrix, and reduces what is left by least-entry division steps in the same
+loop. On top of that sit the two sweeps over full subcomplexes:
 ``homology_R`` assembles H_*(R_K) for the real moment-angle complex from
 H~_{k-1}(K_J) over all vertex subsets J, and ``bigraded_homology_Z`` fills the
 bigraded table H_{-i,2j}(Z_K) of the moment-angle complex from H~_{j-i-1}(K_J)
@@ -133,19 +133,20 @@ def sparse_rank_invariants(columns):
     ignored. The diagonal is returned as a divisibility chain, its units
     first.
 
-    Phase 1 eliminates unit pivots on sparse rows ``{row: {col: coeff}}``.
-    It picks a +-1 entry in a short column, taking the shortest row that
-    holds a unit there, subtracts multiples of the pivot row from the other
-    rows of that column and drops the pivot row and column. Each step is
-    unimodular: the row operations are, and since the pivot is now alone in
-    its column, column operations by a unit clear the rest of its row
-    without touching any other row. So the step splits off a diagonal 1 and
-    leaves the invariant factors of the rest unchanged. Boundary and
-    dg-algebra matrices are sparse with nearly all pivots +-1, so this phase
-    usually empties them.
+    Every step is unimodular and works on sparse rows ``{row: {col: coeff}}``.
+    A unit pass picks a +-1 entry in a short column, taking the shortest row
+    that holds a unit there, subtracts multiples of the pivot row from the
+    other rows of that column and drops the pivot row and column: column
+    operations by a unit would clear the rest of the pivot row and touch no
+    other row, so this splits off a diagonal 1. Boundary and dg-algebra
+    matrices have nearly all pivots +-1, so unit passes usually empty them.
 
-    Phase 2 hands the residual, which has no unit entry left, densely to
-    ``_snf_diagonal``. Only its nonzero rows and columns are densified.
+    A pass that finds no unit takes an entry a of least |a| and reduces its
+    column by floor division; once a is alone there, the rest of its row is
+    reduced mod a, which changes that row only. If nothing is left beside a,
+    it is split off; else the least entry has fallen below |a| and the unit
+    passes resume. ``HomologyGroup.from_divisors`` makes the split-off
+    entries a divisibility chain.
     """
     rows = {}
     col_rows = {}
@@ -162,6 +163,7 @@ def sparse_rank_invariants(columns):
         if held:
             col_rows[j] = held
     ones = 0
+    divisors = []
     progress = True
     while progress:
         progress = False
@@ -203,117 +205,47 @@ def sparse_rank_invariants(columns):
                     del col_rows[c]
             ones += 1
             progress = True
-    if not col_rows:
+        if progress or not col_rows:
+            continue
+        progress = True
+        _, pivot, j, a = min((abs(v), r, c, v) for r, row in rows.items() for c, v in row.items())
+        prow = rows[pivot]
+        # The unit pass's row subtraction, repeated: a helper call per row slows that pass.
+        for i in col_rows[j] - {pivot}:
+            row = rows[i]
+            f = row[j] // a
+            for c, v in prow.items():
+                w = row.get(c, 0) - f * v
+                if w:
+                    if c not in row:
+                        col_rows[c].add(i)
+                    row[c] = w
+                else:
+                    del row[c]
+                    col_rows[c].discard(i)
+            if not row:
+                del rows[i]
+        if len(col_rows[j]) > 1:
+            continue
+        del prow[j]
+        for c, v in list(prow.items()):
+            if v % a:
+                prow[c] = v % a
+            else:
+                del prow[c]
+                col_rows[c].discard(pivot)
+                if not col_rows[c]:
+                    del col_rows[c]
+        if prow:
+            prow[j] = a
+        else:
+            del rows[pivot], col_rows[j]
+            divisors.append(a)
+    if not divisors:
         return ones, (1,) * ones
-    live = sorted(col_rows)
-    mat = [[row.get(c, 0) for c in live] for _, row in sorted(rows.items())]
-    diag = _snf_diagonal(mat)
-    return ones + len(diag), (1,) * ones + tuple(diag)
-
-
-def _snf_diagonal(mat):
-    """In-place SNF on a list-of-rows matrix; returns the nonzero diagonal.
-
-    This is the dense residual step of ``sparse_rank_invariants``: it sees
-    only what the unit-pivot phase leaves, a matrix with no +-1 entry.
-    Pivots are chosen with smallest absolute value to limit coefficient
-    growth; a +-1 pivot that elimination produces short-circuits the
-    divisibility bookkeeping.
-    """
-    nr = len(mat)
-    nc = len(mat[0]) if mat else 0
-    diag = []
-    t = 0
-    while t < nr and t < nc:
-        pivot = _find_pivot(mat, t, nr, nc)
-        if pivot is None:
-            break
-        i0, j0 = pivot
-        if i0 != t:
-            mat[t], mat[i0] = mat[i0], mat[t]
-        if j0 != t:
-            for row in mat:
-                row[t], row[j0] = row[j0], row[t]
-        while True:
-            p = mat[t][t]
-            dirty = False
-            for i in range(t + 1, nr):
-                a = mat[i][t]
-                if a:
-                    q = a // p
-                    if q:
-                        row_i, row_t = mat[i], mat[t]
-                        for j in range(t, nc):
-                            row_i[j] -= q * row_t[j]
-                    if mat[i][t]:
-                        dirty = True
-            for j in range(t + 1, nc):
-                a = mat[t][j]
-                if a:
-                    q = a // p
-                    if q:
-                        for i in range(t, nr):
-                            mat[i][j] -= q * mat[i][t]
-                    if mat[t][j]:
-                        dirty = True
-            if dirty:
-                # Remainders smaller than |p| remain in the pivot row or
-                # column; move the smallest in as the new pivot and repeat.
-                best = None
-                bv = abs(p)
-                for i in range(t + 1, nr):
-                    a = mat[i][t]
-                    if a and abs(a) < bv:
-                        best, bv = (i, t), abs(a)
-                for j in range(t + 1, nc):
-                    a = mat[t][j]
-                    if a and abs(a) < bv:
-                        best, bv = (t, j), abs(a)
-                if best is None:
-                    continue
-                i0, j0 = best
-                if i0 != t:
-                    mat[t], mat[i0] = mat[i0], mat[t]
-                if j0 != t:
-                    for row in mat:
-                        row[t], row[j0] = row[j0], row[t]
-                continue
-            p = mat[t][t]
-            if abs(p) == 1:
-                break
-            culprit = None
-            for i in range(t + 1, nr):
-                row_i = mat[i]
-                for j in range(t + 1, nc):
-                    if row_i[j] % p:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            row_t, row_c = mat[t], mat[culprit]
-            for j in range(t, nc):
-                row_t[j] += row_c[j]
-        diag.append(abs(mat[t][t]))
-        t += 1
-    return diag
-
-
-def _find_pivot(mat, t, nr, nc):
-    best = None
-    bv = None
-    for i in range(t, nr):
-        row = mat[i]
-        for j in range(t, nc):
-            a = row[j]
-            if a:
-                a = abs(a)
-                if bv is None or a < bv:
-                    best, bv = (i, j), a
-                    if a == 1:
-                        return best
-    return best
+    rank = ones + len(divisors)
+    torsion = HomologyGroup.from_divisors(0, divisors).torsion
+    return rank, (1,) * (rank - len(torsion)) + torsion
 
 
 # -- reduced homology -------------------------------------------------------
@@ -528,11 +460,13 @@ def _per_subset_groups(K):
 
 
 def _subset_tally(K):
-    """The tally of ``_per_subset_groups`` for K, from one walk per join factor."""
-    factors = join_factors(K)
-    if len(factors) < 2:
+    """The tally of ``_per_subset_groups`` for K, from one walk per join factor
+    of two or more vertices: a cone point's tally is empty, and joining with
+    an empty tally changes nothing, so a simplex gets {}."""
+    factors = [mask for mask in join_factors(K) if mask & mask - 1]
+    if factors == [K.full_mask]:
         return _per_subset_groups(K)
-    return reduce(_join_tallies, [_per_subset_groups(K.induced(mask)) for mask in factors])
+    return reduce(_join_tallies, [_per_subset_groups(K.induced(mask)) for mask in factors], {})
 
 
 def _join_tallies(first, second):

@@ -331,24 +331,6 @@ class Graph:
         full = self.full_mask
         return sum(1 << i for i, a in enumerate(self.adj) if a == full & ~(1 << i))
 
-    def component_masks(self, within=None):
-        """Connected component bitmasks of the subgraph induced on ``within``
-        (a position bitmask; defaults to all vertices), ordered by lowest bit."""
-        remaining = self.full_mask if within is None else within
-        comps = []
-        while remaining:
-            comp = remaining & -remaining
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for i in bits(frontier):
-                    nxt |= self.adj[i]
-                frontier = nxt & remaining & ~comp
-                comp |= frontier
-            comps.append(comp)
-            remaining &= ~comp
-        return comps
-
 
 # -- operations -----------------------------------------------------------
 
@@ -466,7 +448,8 @@ def _clique_extensions(adj, cliques):
 
 
 def clique_complex(G, max_faces=1 << 20):
-    """The complex whose faces are exactly the cliques of G."""
+    """The complex whose faces are exactly the cliques of G. It is flag by
+    construction, so that verdict is set rather than recomputed."""
     faces = {0}
     level = [1 << i for i in range(G.m)]
     while level:
@@ -474,7 +457,9 @@ def clique_complex(G, max_faces=1 << 20):
         if len(faces) > max_faces:
             raise ValueError(f"clique enumeration exceeds budget of {max_faces} faces")
         level = list(_clique_extensions(G.adj, level))
-    return SimplicialComplex._from_faces(G.labels, faces)
+    K = SimplicialComplex._from_faces(G.labels, faces)
+    object.__setattr__(K, "flag_check", CheckResult(True))
+    return K
 
 
 def is_chordal(G):

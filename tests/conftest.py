@@ -1,8 +1,9 @@
 """Shared complex builders and independent oracles for the test suite.
 
 The oracle functions here deliberately avoid the code paths they are used to
-check: components by union-find, missing faces by subset scan, matrix ranks
-by field elimination, Euler characteristics by cell counting.
+check: components by union-find or breadth-first search, missing faces by
+subset scan, matrix ranks by field elimination, Smith forms by dense textbook
+elimination, Euler characteristics by cell counting.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from macx.homology import sparse_rank_invariants
-from macx.simplicial import Graph, SimplicialComplex, bits, one_skeleton
+from macx.simplicial import Graph, SimplicialComplex, bits
 
 
 # -- standard complexes -----------------------------------------------------
@@ -87,16 +87,34 @@ def union_find_components(vertices, edges):
     return [frozenset(c) for c in comps.values()]
 
 
+def components_within(K, J):
+    """Components of the 1-skeleton of K_J as position bitmasks, ordered by
+    lowest vertex: one breadth-first search over J per component."""
+    adj = K.adjacency
+    comps = []
+    rest = J
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= adj[v]
+            frontier = reach & J & ~comp
+            comp |= frontier
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
 def component_search_words(K):
     """Generator words as (prefix, j, i) label triples, subsets J ascending
     and then i ascending: one breadth-first component search per subset,
     and a word for each component of K_J without j = max J, with i its
     lowest vertex and prefix J minus {i, j}."""
-    graph = one_skeleton(K)
     words = []
     for J in range(1, K.full_mask + 1):
         jpos = J.bit_length() - 1
-        for comp in graph.component_masks(J):
+        for comp in components_within(K, J):
             if comp >> jpos & 1:
                 continue
             ipos = (comp & -comp).bit_length() - 1
@@ -119,11 +137,10 @@ def validate_word(K, word):
     going through the enumeration: the constructor enforces the index
     inequalities, so what remains is the component condition on the word's
     own support."""
-    graph = one_skeleton(K)
     support = K.mask_of(word.support)
     jpos = K.mask_of((word.j,)).bit_length() - 1
     ipos = K.mask_of((word.i,)).bit_length() - 1
-    for comp in graph.component_masks(support):
+    for comp in components_within(K, support):
         if comp >> ipos & 1:
             if comp >> jpos & 1:
                 return False
@@ -164,12 +181,40 @@ class IntMatrix:
 
 def smith_normal_form(M):
     """Nonzero diagonal (d_1 | d_2 | ...) of the Smith normal form of a dense
-    matrix, and its rank, through the package's elimination kernel."""
-    columns = [
-        {i: row[j] for i, row in enumerate(M.entries) if row[j]} for j in range(M.cols)
-    ]
-    rank, diag = sparse_rank_invariants(columns)
-    return diag, rank
+    matrix, and its rank, by the textbook algorithm on a dense copy: bring in
+    an entry p of least absolute value, clear its row and column by division
+    with remainder (starting over whenever a smaller remainder is left), then
+    add in any row that p does not divide, and split p off once it divides
+    everything left. Later entries stay multiples of p, so the diagonal comes
+    out as a divisibility chain."""
+    a = [list(row) for row in M.entries]
+    diag = []
+    while any(any(row) for row in a):
+        _, i, j = min((abs(v), i, j) for i, row in enumerate(a) for j, v in enumerate(row) if v)
+        p = a[i][j]
+        cleared = True
+        for k, row in enumerate(a):
+            if k != i and row[j]:
+                q = row[j] // p
+                a[k] = [x - q * y for x, y in zip(row, a[i])]
+                cleared = cleared and not a[k][j]
+        for col in range(len(a[i])):
+            if col != j and a[i][col]:
+                q = a[i][col] // p
+                for row in a:
+                    row[col] -= q * row[j]
+                cleared = cleared and not a[i][col]
+        if not cleared:
+            continue
+        bad = next((row for row in a if any(x % p for x in row)), None)
+        if bad is not None:
+            a[i] = [x + y for x, y in zip(a[i], bad)]
+            continue
+        diag.append(abs(p))
+        del a[i]
+        for row in a:
+            del row[j]
+    return tuple(diag), len(diag)
 
 
 def boundary_matrix(K, k):

@@ -205,18 +205,15 @@ def test_generators_command(partial_cone_file, capsys):
     assert data["data"][3] == {"prefix": [2], "j": 5, "i": 4}
 
 
-def test_generator_words_need_no_component_search(monkeypatch, tmp_path, capsys):
-    """The generator walk reads components from its table: a per-subset
-    component search anywhere in analyze or generators is a regression."""
+def test_generator_words_need_no_component_search(tmp_path, capsys):
+    """The generator walk reads components from its table: the package keeps
+    no per-subset component search, and analyze and generators run on every
+    sample without one."""
+    assert not hasattr(simplicial.Graph, "component_masks")
     c6 = tmp_path / "c6.cx"
     c6.write_text("vertices 6\n" + "".join(f"facet {i} {i % 6 + 1}\n" for i in range(1, 7)))
     samples = sorted(Path(__file__).resolve().parent.parent.glob("samples/*.cx"))
     assert samples
-
-    def no_search(self, within=None):
-        raise AssertionError("component search per subset")
-
-    monkeypatch.setattr(simplicial.Graph, "component_masks", no_search)
     for path in [str(c6), *map(str, samples)]:
         for argv in (["analyze", path], ["analyze", path, "--json"],
                      ["generators", path], ["generators", path, "--json"],

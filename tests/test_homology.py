@@ -242,20 +242,12 @@ def test_sparse_rank_invariants_against_determinantal_divisors():
         _assert_determinantal_divisors(mat, diag, rank)
 
 
-def test_sparse_rank_invariants_unit_free_residual(monkeypatch):
+def test_sparse_rank_invariants_unit_free_residual():
     # M = [[U, 0], [B, C]] with U unimodular, so SNF(M) = (1, 1, 1) + SNF(C).
     # C holds a circulant of determinant 9 and the block 2I, and B couples
-    # the unit columns to C's rows; rows and columns are then permuted. The
-    # unit phase must leave a residual with no +-1 entry, which carries the
-    # torsion 2 and 18 into the dense step.
-    residuals = []
-    dense = homology._snf_diagonal
-
-    def spy(mat):
-        residuals.append([list(r) for r in mat])
-        return dense(mat)
-
-    monkeypatch.setattr(homology, "_snf_diagonal", spy)
+    # the unit columns to C's rows; rows and columns are then permuted. Unit
+    # pivots leave a residual with no +-1 entry, and the torsion 2 and 18 can
+    # only come out of the kernel's least-entry steps on it.
     block = [
         [1, 1, 0, 0, 0, 0, 0, 0],
         [0, -1, 1, 0, 0, 0, 0, 0],
@@ -271,12 +263,40 @@ def test_sparse_rank_invariants_unit_free_residual(monkeypatch):
     mat = [[block[i][j] for j in col_order] for i in row_order]
     rank, diag = homology.sparse_rank_invariants(_columns(mat))
     assert (rank, diag) == (8, (1, 1, 1, 1, 1, 1, 2, 18))
-    assert len(residuals) == 1 and residuals[0]
-    assert all(abs(a) != 1 for row in residuals[0] for a in row)
     assert smith_normal_form(IntMatrix.from_rows(mat)) == (diag, rank)
     assert rank == rank_over_q(mat)
     for p in (2, 3, 5, 7):
         assert rank_mod_p(mat, p) == sum(1 for d in diag if d % p)
+
+
+def test_sparse_rank_invariants_against_dense_oracle():
+    # the kernel against the textbook dense Smith form of conftest, on dense
+    # and sparse random matrices up to 10 x 10 with entries in [-30, 30]
+    rng = random.Random(31)
+    for _ in range(600):
+        rows = rng.randrange(1, 11)
+        cols = rng.randrange(1, 11)
+        density = rng.choice((0.2, 0.5, 1.0))
+        mat = [[rng.randrange(-30, 31) if rng.random() < density else 0 for _ in range(cols)]
+               for _ in range(rows)]
+        rank, diag = homology.sparse_rank_invariants(_columns(mat))
+        assert smith_normal_form(IntMatrix.from_rows(mat)) == (diag, rank)
+
+
+@pytest.mark.parametrize("mat, expected", [
+    ([[2, 3]], (1, (1,))),                       # remainder 1 becomes a unit pivot
+    ([[6, 10, 15]], (1, (1,))),                  # gcd 1 with no pairwise unit
+    ([[4, 6]], (1, (2,))),
+    ([[2], [3]], (1, (1,))),                     # the column-side remainder
+    ([[2, 0], [0, 3]], (2, (1, 6))),             # coprime torsion merges
+    ([[4, 0], [0, 6]], (2, (2, 12))),
+    ([[2, 4], [6, 8]], (2, (2, 4))),
+    ([[-3, 0, 0], [0, 0, 0], [0, 0, 9]], (2, (3, 9))),
+    ([[5, 7], [7, 5]], (2, (1, 24))),
+])
+def test_sparse_rank_invariants_non_unit_cases(mat, expected):
+    assert homology.sparse_rank_invariants(_columns(mat)) == expected
+    assert smith_normal_form(IntMatrix.from_rows(mat)) == expected[::-1]
 
 
 def test_projective_plane_torsion():

@@ -248,7 +248,7 @@ def subsets_walked(monkeypatch, K):
 
 def test_walk_count_is_the_sum_over_join_factors(monkeypatch):
     cone_c13 = joined(cycle(13), point())
-    assert subsets_walked(monkeypatch, cone_c13) == (2 ** 13 - 1) + 1
+    assert subsets_walked(monkeypatch, cone_c13) == 2 ** 13 - 1
     rp2_join_c6 = joined(projective_plane(), cycle(6))
     assert subsets_walked(monkeypatch, rp2_join_c6) == 2 * (2 ** 6 - 1)
     assert subsets_walked(monkeypatch, cross_polytope(8)) == 24

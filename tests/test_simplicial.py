@@ -206,7 +206,10 @@ def test_is_flag_examples():
 
 
 def test_is_flag_matches_brute_force_missing_faces():
-    corpus = [clique_complex(g) for g in all_graphs(4)]
+    # rebuilt from their faces, so that the level-by-level check runs rather
+    # than the verdict that clique_complex sets
+    corpus = [SimplicialComplex(K.labels, K.face_masks)
+              for K in map(clique_complex, all_graphs(4))]
     corpus += [square_partial_cone(), square_broken_cone(), cycle(3), projective_plane()]
     for K in corpus:
         missing = brute_missing_faces(K)
@@ -224,6 +227,15 @@ def test_clique_complex_examples():
     assert clique_complex(k4) == simplex(3)
     partial = square_partial_cone()
     assert clique_complex(one_skeleton(partial)) == partial
+
+
+def test_clique_complex_sets_a_flag_verdict_that_holds():
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            K = clique_complex(g)
+            assert "flag_check" in vars(K) and K.flag_check
+            assert all(len(f) == 2 for f in brute_missing_faces(K))
+            assert SimplicialComplex(K.labels, K.face_masks).flag_check == K.flag_check
 
 
 def test_facets_found_on_first_use(monkeypatch):
