@@ -17,9 +17,7 @@ from .simplicial import (
     is_minimally_non_chordal,
     join,
     join_factors,
-    link,
     one_skeleton,
-    star,
 )
 from .homology import (
     BigradedTable,
@@ -31,15 +29,12 @@ from .homology import (
     reduced_homology,
 )
 from .classify import (
-    ClassificationReport,
     NonFlagError,
     RelatorWord,
     build_report,
-    golod_flag,
     is_free_commutator_group,
     minimally_non_golod_flag,
     one_relator_algebra_homological,
-    one_relator_group_combinatorial,
     one_relator_group_homological,
     surface_genus,
     vanishing_check,

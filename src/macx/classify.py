@@ -2,9 +2,11 @@
 Golodness, each decidable by independent combinatorial and homological routes.
 
 The combinatorial route looks only at the 1-skeleton (chordality, the
-cycle-join structure); the homological route inspects H_2 of the real
-moment-angle complex or the bigraded row H_{2-j,2j} of the moment-angle
-complex. The exhaustive sweeps in :mod:`macx.sweep` assert that the two
+cycle-join structure of ``simplicial.classify_star_condition``); the
+homological route inspects H_2 of the real moment-angle complex or the
+bigraded row H_{2-j,2j} of the moment-angle complex. Each verdict is decided
+here once: ``build_report`` (for ``analyze``) and the exhaustive sweeps in
+:mod:`macx.sweep` read these functions, and the sweeps assert that the two
 routes never disagree.
 
 All group/algebra classifiers refuse non-flag input outright, since the
@@ -16,12 +18,11 @@ non-Golodness minimal non-chordality) and no subcomplex is rebuilt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 from . import homology, simplicial
 from .homology import HomologyGroup, Z_GROUP, ZERO_GROUP, homology_at
-from .simplicial import StarClassification
 
 
 class NonFlagError(ValueError):
@@ -36,16 +37,10 @@ def _require_flag(K):
 
 def is_free_commutator_group(K):
     """Whether the commutator subgroup of the associated right-angled Coxeter
-    group is free: for flag K this is chordality of the 1-skeleton."""
+    group is free: for flag K this is chordality of the 1-skeleton, which is
+    also Golodness of K."""
     _require_flag(K)
     return bool(simplicial.is_chordal(simplicial.one_skeleton(K)))
-
-
-def one_relator_group_combinatorial(K):
-    """Combinatorial route: the complex is a p-cycle (p >= 4) possibly joined
-    with a simplex."""
-    _require_flag(K)
-    return bool(simplicial.classify_star_condition(K))
 
 
 def one_relator_group_homological(K, groups=None):
@@ -87,12 +82,6 @@ def vanishing_check(K, groups=None, table=None):
     if any(not g.is_zero for g in groups[3:]):
         return False
     return all(j2 // 2 - i < 3 for (i, j2) in table.entries)
-
-
-def golod_flag(K):
-    """Golodness of a flag complex, decided by chordality of the 1-skeleton."""
-    _require_flag(K)
-    return bool(simplicial.is_chordal(simplicial.one_skeleton(K)))
 
 
 def minimally_non_golod_flag(K):
@@ -139,15 +128,6 @@ class RelatorWord:
             letters.append((abs(n), 1 if n > 0 else -1))
         return cls(tuple(letters))
 
-    def max_index(self):
-        return max((idx for idx, _ in self.letters), default=0)
-
-    def exponent_sums(self, l):
-        sums = [0] * l
-        for idx, exp in self.letters:
-            sums[idx - 1] += exp
-        return sums
-
     def __str__(self):
         return " ".join(
             f"x{idx}" if exp == 1 else f"x{idx}^-1" for idx, exp in self.letters
@@ -159,69 +139,62 @@ def y_space_homology(l, relator):
     the relator: H_0 = Z, and the cellular boundary of the 2-cell is the row
     of exponent sums, whose Smith form is its gcd g. So H_1 = Z^(l-1) + Z/g
     and H_2 = 0, or H_1 = Z^l and H_2 = Z when every sum vanishes. Everything
-    above degree 2 is zero.
+    above degree 2 is zero. Generators the relator does not use add 0 to g.
     """
     if l < 1:
         raise ValueError("need at least one generator")
     if not relator.letters:
         raise ValueError("relator must be nonempty")
-    if relator.max_index() > l:
-        raise ValueError("relator uses a generator beyond the basis")
-    g = gcd(*relator.exponent_sums(l))
+    sums = {}
+    for idx, exp in relator.letters:
+        if idx > l:
+            raise ValueError("relator uses a generator beyond the basis")
+        sums[idx] = sums.get(idx, 0) + exp
+    g = gcd(*sums.values())
     if g == 0:
         return [Z_GROUP, HomologyGroup(l), Z_GROUP]
     return [Z_GROUP, HomologyGroup.from_divisors(l - 1, [g]), ZERO_GROUP]
 
 
-@dataclass
-class ClassificationReport:
-    """Aggregate verdicts for one complex. Group/algebra/Golod fields are None
-    when the complex is not flag (those classifiers refuse non-flag input)."""
-
-    flag: bool
-    chordal: bool
-    star_condition: StarClassification
-    free_group: bool | None = None
-    one_relator_group: bool | None = None
-    one_relator_algebra: bool | None = None
-    golod: bool | None = None
-    minimally_non_golod: bool | None = None
-    genus: int | None = None
-    witnesses: dict = field(default_factory=dict)
-
-
 def build_report(K, groups=None, table=None):
-    """Run every classifier on one complex, reusing precomputed homology when
-    supplied. Both one-relator routes are evaluated; the report stores the
-    combinatorial verdict and files the homological ones under witnesses."""
+    """The verdict fields of the analysis of one complex, as plain data,
+    reusing precomputed homology when supplied. Both one-relator routes are
+    evaluated: the report states the combinatorial verdict and files the
+    homological ones under witnesses. The group, algebra and Golod verdicts
+    are None when K is not flag, since those classifiers refuse it."""
     flag_check = simplicial.is_flag(K)
     chordal_check = simplicial.is_chordal(simplicial.one_skeleton(K))
     star = simplicial.classify_star_condition(K)
     witnesses = {}
     if flag_check.witness:
-        witnesses["missing_face"] = flag_check.witness
+        witnesses["missing_face"] = list(flag_check.witness)
     if chordal_check.witness:
-        witnesses["chordless_cycle"] = chordal_check.witness
-    report = ClassificationReport(
-        flag=bool(flag_check),
-        chordal=bool(chordal_check),
-        star_condition=star,
-        witnesses=witnesses,
-    )
+        witnesses["chordless_cycle"] = list(chordal_check.witness)
+    report = {
+        "flag": bool(flag_check),
+        "chordal": bool(chordal_check),
+        "star_condition": {"matches": star.matches, "p": star.p,
+                           "cone_vertices": list(star.cone_vertices),
+                           "reason": star.reason},
+        "free_group": None, "one_relator_group": None, "one_relator_algebra": None,
+        "golod": None, "minimally_non_golod": None, "genus": None,
+        "witnesses": witnesses,
+    }
     if not flag_check:
         return report
     if groups is None:
         groups = homology.homology_R(K)
     if table is None:
         table = homology.bigraded_homology_Z(K)
-    report.free_group = bool(chordal_check)
-    report.one_relator_group = bool(star)
-    report.one_relator_algebra = bool(star)
-    report.golod = bool(chordal_check)
-    report.minimally_non_golod = minimally_non_golod_flag(K)
+    report.update(
+        free_group=bool(chordal_check),
+        one_relator_group=bool(star),
+        one_relator_algebra=bool(star),
+        golod=bool(chordal_check),
+        minimally_non_golod=minimally_non_golod_flag(K),
+        genus=surface_genus(star.p) if star else None,
+    )
     witnesses["h2_R"] = str(homology_at(groups, 2))
     witnesses["one_relator_group_homological"] = one_relator_group_homological(K, groups)
     witnesses["one_relator_algebra_homological"] = one_relator_algebra_homological(K, table)
-    if star:
-        report.genus = surface_genus(star.p)
     return report

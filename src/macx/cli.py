@@ -4,7 +4,8 @@ Subcommands: analyze (full report for a complex file), generators, poincare,
 mcgavran, verify-theorems, yspace. Human-readable text by default, ``--json``
 for machine consumption (sorted keys, no timestamps, byte-stable for a fixed
 input). Exit codes: 0 success, 1 usage or parse error, 2 counterexample found
-(verify-theorems only).
+(verify-theorems only). ``main`` is the one error boundary: any OSError or
+ValueError a command raises is printed as ``error: <message>`` with exit 1.
 
 Complex file format: UTF-8 lines, ``vertices m`` header, then one
 ``facet v1 v2 ...`` line per facet; ``#`` starts a comment; vertices are
@@ -90,33 +91,25 @@ def _bigraded_json(table):
 def analyze(K, name="complex", truncate=12):
     """Assemble the full analysis payload for one complex (plain data).
 
-    A cycle too long for its sphere-product decomposition is refused
-    (ValueError) before any walk over the vertex subsets."""
+    A cycle too long for its sphere-product decomposition, or a truncation
+    past ``loop_algebra.MAX_TRUNCATION``, is refused (ValueError) before any
+    walk over the vertex subsets; more than ``generators.MAX_WORDS``
+    generator words, counted as rank H_1(R_K), before any word is listed."""
     star = simplicial.classify_star_condition(K)
     M = loop_algebra.mcgavran(star.p) if star else None
+    series = loop_algebra.poincare_series_closed(M, truncate) if M else None
     groups, table = homology.homology_R_and_Z(K)
-    report = classify.build_report(K, groups, table)
+    words = homology.homology_at(groups, 1).free_rank
+    if words > generators.MAX_WORDS:
+        raise ValueError(
+            f"{words} generator words exceed the limit of {generators.MAX_WORDS}"
+        )
     gens = generators.enumerate_generators(K)
     out = {
         "complex": name,
         "vertices": K.m,
         "facets": [list(f) for f in K.facets()],
-        "flag": report.flag,
-        "chordal": report.chordal,
-        "star_condition": {
-            "matches": report.star_condition.matches,
-            "p": report.star_condition.p,
-            "cone_vertices": list(report.star_condition.cone_vertices),
-            "reason": report.star_condition.reason,
-        },
-        "free_group": report.free_group,
-        "one_relator_group": report.one_relator_group,
-        "one_relator_algebra": report.one_relator_algebra,
-        "golod": report.golod,
-        "minimally_non_golod": report.minimally_non_golod,
-        "genus": report.genus,
-        "witnesses": {k: list(v) if isinstance(v, tuple) else v
-                      for k, v in report.witnesses.items()},
+        **classify.build_report(K, groups, table),
         "generator_count": gens.count,
         "generators_group": gens.rendered(),
         "generators_algebra": gens.rendered(generators.ALGEBRA),
@@ -126,9 +119,7 @@ def analyze(K, name="complex", truncate=12):
     }
     if M is not None:
         out["mcgavran"] = {"d": M.d, "pairs": list(M.pairs)}
-        out["poincare_prefix"] = list(
-            loop_algebra.poincare_series_closed(M, truncate).coefficients
-        )
+        out["poincare_prefix"] = list(series.coefficients)
     return out
 
 
@@ -176,14 +167,9 @@ def _print_analysis(data):
 
 def cmd_analyze(args):
     if args.truncate < 0:
-        print("error: --truncate must be nonnegative", file=sys.stderr)
-        return 1
+        raise ValueError("--truncate must be nonnegative")
     name = os.path.splitext(os.path.basename(args.file))[0]
-    try:
-        data = analyze(parse_complex(args.file), name=name, truncate=args.truncate)
-    except (OSError, ValueError) as exc:  # ValueError covers ComplexParseError
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    data = analyze(parse_complex(args.file), name=name, truncate=args.truncate)
     if args.json:
         print(json.dumps(data, sort_keys=True, indent=2))
     else:
@@ -192,12 +178,7 @@ def cmd_analyze(args):
 
 
 def cmd_generators(args):
-    try:
-        K = parse_complex(args.file)
-    except (OSError, ComplexParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    gens = generators.enumerate_generators(K, args.kind)
+    gens = generators.enumerate_generators(parse_complex(args.file), args.kind)
     if args.json:
         data = {
             "count": gens.count,
@@ -223,20 +204,15 @@ def _parse_pairs_spec(spec):
 
 
 def cmd_poincare(args):
-    try:
-        M = loop_algebra.mcgavran(args.cycle) if args.cycle else _parse_pairs_spec(args.pairs)
-        n = args.truncate
-        closed = loop_algebra.poincare_series_closed(M, n)
-        rows = [("closed", closed)]
-        if args.oracle:
-            rows.append(("oracle", loop_algebra.rank_oracle_monomials(M, n)))
-        if args.dga:
-            n_dga = args.dga_truncate if args.dga_truncate is not None else min(n, 10)
-            model = loop_algebra.adams_hilton_model(M)
-            rows.append(("dga", loop_algebra.dga_homology_ranks(model, n_dga).series))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    M = loop_algebra.mcgavran(args.cycle) if args.cycle else _parse_pairs_spec(args.pairs)
+    n = args.truncate
+    rows = [("closed", loop_algebra.poincare_series_closed(M, n))]
+    if args.oracle:
+        rows.append(("oracle", loop_algebra.rank_oracle_monomials(M, n)))
+    if args.dga:
+        n_dga = args.dga_truncate if args.dga_truncate is not None else min(n, 10)
+        model = loop_algebra.adams_hilton_model(M)
+        rows.append(("dga", loop_algebra.dga_homology_ranks(model, n_dga).series))
     overlap = min(r.truncation for _, r in rows)
     agree = all(
         tuple(r.prefix(overlap)) == tuple(rows[0][1].prefix(overlap)) for _, r in rows
@@ -259,11 +235,7 @@ def cmd_poincare(args):
 
 
 def cmd_mcgavran(args):
-    try:
-        M = loop_algebra.mcgavran(args.cycle)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    M = loop_algebra.mcgavran(args.cycle)
     if args.json:
         data = {"p": args.cycle, "d": M.d, "pairs": list(M.pairs),
                 "summands": M.k, "generators": 2 * M.k, "betti": M.betti()}
@@ -286,12 +258,8 @@ def cmd_verify(args):
         checks = frozenset({sweep.CHECK_GROUP, sweep.CHECK_CHORDAL_FREE})
     else:
         checks = sweep.ALL_CHECKS
-    try:
-        cfg = sweep.SweepConfig(args.max_vertices, args.iso_dedup, checks)
-        workers = sweep.workers_from_environment()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    cfg = sweep.SweepConfig(args.max_vertices, args.iso_dedup, checks)
+    workers = sweep.workers_from_environment()
     report = sweep.run_sweep(cfg, workers)
     if args.json:
         print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
@@ -307,12 +275,8 @@ def cmd_verify(args):
 
 
 def cmd_yspace(args):
-    try:
-        word = classify.RelatorWord.from_ints(int(tok) for tok in args.word.split())
-        groups = classify.y_space_homology(args.generators, word)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    word = classify.RelatorWord.from_ints(int(tok) for tok in args.word.split())
+    groups = classify.y_space_homology(args.generators, word)
     if args.json:
         data = {"l": args.generators, "word": str(word),
                 "homology": _homology_list_json(groups)}
@@ -397,7 +361,11 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code or 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # ValueError covers ComplexParseError
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -108,10 +108,6 @@ class HomologyGroup:
     def is_zero(self):
         return self.free_rank == 0 and not self.torsion
 
-    @property
-    def rank(self):
-        return self.free_rank
-
     def __str__(self):
         parts = []
         if self.free_rank == 1:

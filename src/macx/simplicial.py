@@ -298,17 +298,6 @@ class Graph:
     def full_mask(self):
         return (1 << self.m) - 1
 
-    @cached_property
-    def _positions(self):
-        return {v: i for i, v in enumerate(self.labels)}
-
-    def has_edge(self, u, v):
-        pu, pv = self._positions[u], self._positions[v]
-        return bool(self.adj[pu] >> pv & 1)
-
-    def degree(self, v):
-        return self.adj[self._positions[v]].bit_count()
-
     def edges(self):
         out = []
         for i in range(self.m):
@@ -344,34 +333,9 @@ def _compress(mask, kept):
     return out
 
 
-def _on_support(K, faces):
-    """The complex of the given faces of K (a downward-closed family), on the
-    vertices they cover."""
-    support = 0
-    for f in faces:
-        support |= f
-    return SimplicialComplex._from_faces(
-        K.labels_of(support), {_compress(f, support) for f in faces}
-    )
-
-
 def full_subcomplex(K, subset):
     """The full subcomplex K_J: all faces of K contained in the vertex set J."""
     return K.induced(K.mask_of(subset))
-
-
-def link(K, j):
-    """lk_K(j): faces I with j not in I and I + j a face of K."""
-    jbit = K.mask_of((j,))
-    return _on_support(
-        K, [f for f in K.face_masks if f & jbit == 0 and (f | jbit) in K.face_masks]
-    )
-
-
-def star(K, j):
-    """st_K(j) = lk_K(j) * j: all faces whose union with j is a face."""
-    jbit = K.mask_of((j,))
-    return _on_support(K, [f for f in K.face_masks if (f | jbit) in K.face_masks])
 
 
 def join(K, L):

@@ -17,11 +17,9 @@ from macx.classify import (
     NonFlagError,
     RelatorWord,
     build_report,
-    golod_flag,
     is_free_commutator_group,
     minimally_non_golod_flag,
     one_relator_algebra_homological,
-    one_relator_group_combinatorial,
     one_relator_group_homological,
     surface_genus,
     vanishing_check,
@@ -34,6 +32,7 @@ from macx.simplicial import (
     clique_complex,
     full_subcomplex,
     is_chordal,
+    classify_star_condition,
     join,
     one_skeleton,
 )
@@ -60,9 +59,9 @@ def test_free_commutator_group():
 
 
 def test_one_relator_group_routes():
-    assert one_relator_group_combinatorial(square_cone())
-    assert not one_relator_group_combinatorial(square_partial_cone())
-    assert not one_relator_group_combinatorial(simplex(3))
+    assert classify_star_condition(square_cone())
+    assert not classify_star_condition(square_partial_cone())
+    assert not classify_star_condition(simplex(3))
     assert one_relator_group_homological(square_cone())
     assert not one_relator_group_homological(square_partial_cone())
     assert one_relator_group_homological(cycle(6))
@@ -79,10 +78,8 @@ def test_classifiers_reject_non_flag():
     bad = square_broken_cone()
     for fn in [
         is_free_commutator_group,
-        one_relator_group_combinatorial,
         one_relator_group_homological,
         one_relator_algebra_homological,
-        golod_flag,
         minimally_non_golod_flag,
     ]:
         with pytest.raises(NonFlagError):
@@ -98,16 +95,17 @@ def test_vanishing_check():
 
 
 def test_golod_and_minimally_non_golod():
+    # Golodness of a flag complex is freeness of the commutator subgroup
     for p in range(4, 8):
-        assert not golod_flag(cycle(p))
+        assert not is_free_commutator_group(cycle(p))
         assert minimally_non_golod_flag(cycle(p))
-    assert not golod_flag(square_partial_cone())
+    assert not is_free_commutator_group(square_partial_cone())
     # deleting vertex 5 of the partial cone leaves a chordless square
     assert not minimally_non_golod_flag(square_partial_cone())
     # a cone over a cycle is one-relator but not minimally non-Golod itself
-    assert one_relator_group_combinatorial(square_cone())
+    assert classify_star_condition(square_cone())
     assert not minimally_non_golod_flag(square_cone())
-    assert golod_flag(tree_complex())
+    assert is_free_commutator_group(tree_complex())
     assert not minimally_non_golod_flag(tree_complex())
 
 
@@ -160,6 +158,8 @@ def test_relator_word_validation():
 def test_y_space_commutator_relator():
     word = RelatorWord.from_ints([1, 2, -1, -2])
     assert y_space_homology(2, word) == [Z, HomologyGroup(2), Z]
+    # a basis far larger than the word: no list of length l is built
+    assert y_space_homology(10 ** 9, word) == [Z, HomologyGroup(10 ** 9), Z]
 
 
 def test_y_space_disc():
@@ -170,6 +170,8 @@ def test_y_space_disc():
 def test_y_space_square_relator():
     word = RelatorWord.from_ints([1, 1])
     assert y_space_homology(2, word) == [Z, HomologyGroup(1, (2,)), ZERO]
+    word = RelatorWord.from_ints([3, 7, 3, -7])
+    assert y_space_homology(10 ** 9, word) == [Z, HomologyGroup(10 ** 9 - 1, (2,)), ZERO]
 
 
 def test_y_space_against_dense_smith_form():
@@ -181,7 +183,10 @@ def test_y_space_against_dense_smith_form():
         if any(a == -b for a, b in zip(letters, letters[1:])):
             continue  # not freely reduced
         word = RelatorWord.from_ints(letters)
-        diag, rank = smith_normal_form(IntMatrix.from_rows([word.exponent_sums(l)]))
+        sums = [0] * l
+        for idx, exp in word.letters:
+            sums[idx - 1] += exp
+        diag, rank = smith_normal_form(IntMatrix.from_rows([sums]))
         assert y_space_homology(l, word) == [
             Z, HomologyGroup.from_divisors(l - rank, [d for d in diag if d > 1]),
             HomologyGroup(1 - rank)]
@@ -199,29 +204,36 @@ def test_y_space_rejects_bad_input():
 
 def test_build_report_flag_case():
     report = build_report(square_cone())
-    assert report.flag and not report.chordal
-    assert report.star_condition.matches and report.star_condition.p == 4
-    assert report.one_relator_group and report.one_relator_algebra
-    assert report.free_group is False
-    assert report.genus == 1
-    assert report.witnesses["one_relator_group_homological"] is True
-    assert report.witnesses["one_relator_algebra_homological"] is True
-    assert report.witnesses["h2_R"] == "Z"
+    assert report["flag"] and not report["chordal"]
+    assert report["star_condition"] == {
+        "matches": True, "p": 4, "cone_vertices": [5], "reason": None}
+    assert report["one_relator_group"] and report["one_relator_algebra"]
+    assert report["free_group"] is False
+    assert report["genus"] == 1
+    assert report["witnesses"] == {
+        "chordless_cycle": [1, 2, 3, 4],
+        "h2_R": "Z",
+        "one_relator_group_homological": True,
+        "one_relator_algebra_homological": True,
+    }
 
 
 def test_build_report_consistency_invariants():
     for K in [cycle(5), square_cone(), square_partial_cone(), simplex(2), tree_complex()]:
         report = build_report(K)
-        assert report.free_group == report.chordal
-        if report.one_relator_group:
-            assert not report.free_group
-        assert report.one_relator_group == report.one_relator_algebra
-        assert report.one_relator_group == report.star_condition.matches
+        assert report["free_group"] == report["golod"] == report["chordal"]
+        assert report["free_group"] == is_free_commutator_group(K)
+        if report["one_relator_group"]:
+            assert not report["free_group"]
+        assert report["one_relator_group"] == report["one_relator_algebra"]
+        assert report["one_relator_group"] == report["star_condition"]["matches"]
+        assert report["minimally_non_golod"] == minimally_non_golod_flag(K)
 
 
 def test_build_report_non_flag():
     report = build_report(square_broken_cone())
-    assert not report.flag
-    assert report.one_relator_group is None
-    assert report.golod is None
-    assert report.witnesses["missing_face"] == (1, 4, 5)
+    assert not report["flag"]
+    for key in ("free_group", "one_relator_group", "one_relator_algebra",
+                "golod", "minimally_non_golod", "genus"):
+        assert report[key] is None
+    assert report["witnesses"]["missing_face"] == [1, 4, 5]

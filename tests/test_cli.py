@@ -324,6 +324,74 @@ def test_verify_theorems_counterexample_exit(monkeypatch, capsys):
     assert "counterexamples" in capsys.readouterr().out
 
 
+# -- the error boundary -----------------------------------------------------
+
+EIGHT_CYCLE = "vertices 8\n" + "".join(f"facet {i} {i % 8 + 1}\n" for i in range(1, 9))
+MANY_TWOS = "4:" + ",".join(["2"] * 30_000)   # coefficients past 4,300 digits at 1000
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{c8}", "--truncate", "20000", "--json"],
+    ["analyze", "{c8}", "--truncate", "-1"],
+    ["analyze", "{c8}", "--json"],                      # 258 words, bound patched to 257
+    ["analyze", "{bad}"],
+    ["analyze", "{latin1}", "--json"],
+    ["analyze", "{missing}"],
+    ["generators", "{bad}", "--json"],
+    ["generators", "{missing}"],
+    ["poincare", "--cycle", "8", "--truncate", "20000"],
+    ["poincare", "--cycle", "8", "--truncate", "20000", "--json"],
+    ["poincare", "--cycle", "5", "--truncate", "1000000000"],
+    ["poincare", "--cycle", "5", "--oracle", "--truncate", "1001"],
+    ["poincare", "--cycle", "5", "--dga", "--dga-truncate", "1001"],
+    ["poincare", "--cycle", "5", "--dga", "--dga-truncate", "-2"],
+    ["poincare", "--pairs", MANY_TWOS, "--truncate", "1000", "--json"],
+    ["poincare", "--pairs", MANY_TWOS, "--truncate", "1000"],
+    ["poincare", "--pairs", "nonsense"],
+    ["poincare", "--pairs", "3:1"],
+    ["mcgavran", "--cycle", "3"],
+    ["mcgavran", "--cycle", "40", "--json"],
+    ["verify-theorems", "--max-vertices", "10"],
+    ["yspace", "-l", "1", "--word", "1 -1"],
+    ["yspace", "-l", "2", "--word", "1 x"],
+    ["yspace", "-l", "0", "--word", "1"],
+    ["yspace", "-l", "2", "--word", "3"],
+    ["yspace", "-l", "2", "--word", ""],
+])
+def test_every_failure_is_one_error_line(monkeypatch, tmp_path, capsys, argv):
+    """Bad input and over-limit requests end in ``error: ...`` and exit 1 at
+    the one boundary in ``main``, never in a traceback."""
+    files = {"c8": EIGHT_CYCLE.encode(), "bad": b"vertices 3\nfacet 1 7\n",
+             "latin1": b"vertices 3\nfacet 1 2 \xff\n"}
+    paths = {name: str(tmp_path / f"{name}.cx") for name in [*files, "missing"]}
+    for name, data in files.items():
+        (tmp_path / f"{name}.cx").write_bytes(data)
+    monkeypatch.setattr(generators, "MAX_WORDS", 257)
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_analyze_refuses_too_many_words_before_listing_them(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "c8.cx"
+    path.write_text(EIGHT_CYCLE)
+    listing = generators.enumerate_generators
+
+    def no_words(*args):
+        raise AssertionError("listed the words of a refused complex")
+
+    monkeypatch.setattr(generators, "MAX_WORDS", 257)
+    monkeypatch.setattr(generators, "enumerate_generators", no_words)
+    assert main(["analyze", str(path), "--json"]) == 1
+    assert capsys.readouterr().err == "error: 258 generator words exceed the limit of 257\n"
+    monkeypatch.setattr(generators, "MAX_WORDS", 258)
+    monkeypatch.setattr(generators, "enumerate_generators", listing)
+    assert main(["analyze", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["generator_count"] == 258
+
+
 def test_usage_errors_exit_one():
     assert main(["bogus-command"]) == 1
     assert main(["poincare"]) == 1          # missing required group

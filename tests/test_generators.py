@@ -24,7 +24,7 @@ from macx.generators import (
     enumerate_generators,
     generator_count,
 )
-from macx.homology import homology_R
+from macx.homology import homology_at, homology_R
 from macx.simplicial import Graph, SimplicialComplex, clique_complex, full_subcomplex
 
 
@@ -123,10 +123,11 @@ def test_walk_on_multi_digit_labels():
 
 
 @st.composite
-def complexes(draw):
-    """Complexes on at most nine vertices with labels drawn from 1..40:
-    arbitrary facet lists, mostly not flag, and clique complexes."""
-    labels = draw(st.lists(st.integers(1, 40), min_size=1, max_size=9, unique=True))
+def complexes(draw, max_vertices=9):
+    """Complexes on at most max_vertices vertices with labels drawn from
+    1..40: arbitrary facet lists, mostly not flag, and clique complexes."""
+    labels = draw(st.lists(st.integers(1, 40), min_size=1, max_size=max_vertices,
+                           unique=True))
     if draw(st.booleans()):
         pairs = list(combinations(labels, 2))
         edges = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
@@ -139,6 +140,27 @@ def complexes(draw):
 @given(complexes())
 def test_walk_matches_component_search_on_drawn_complexes(K):
     assert_matches_component_search(K)
+
+
+def assert_count_is_rank_h1(K):
+    """The word count against its homological reading: one word per (J,
+    component of K_J without max J) is rank H_1(R_K) = sum_J rank H~_0(K_J)."""
+    assert generator_count(K) == homology_at(homology_R(K), 1).free_rank
+
+
+def test_count_is_rank_h1_on_graph_classes_up_to_six_vertices():
+    nx = pytest.importorskip("networkx")
+    graphs = [g for g in nx.graph_atlas_g() if 1 <= g.number_of_nodes() <= 6]
+    assert len(graphs) == 208
+    for g in graphs:
+        edges = [(u + 1, v + 1) for u, v in g.edges()]
+        assert_count_is_rank_h1(clique_complex(Graph.from_edges(g.number_of_nodes(), edges)))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(complexes(max_vertices=8))
+def test_count_is_rank_h1_on_drawn_complexes(K):
+    assert_count_is_rank_h1(K)
 
 
 def test_emitted_words_satisfy_side_conditions():

@@ -25,9 +25,7 @@ from macx.simplicial import (
     is_cycle,
     is_flag,
     join,
-    link,
     one_skeleton,
-    star,
 )
 
 
@@ -131,35 +129,11 @@ def test_induced_subgraph_is_skeleton_of_full_subcomplex_exhaustive():
 def test_universal_mask_matches_degree_count_exhaustive():
     for n in range(1, 6):
         for g in all_graphs(n):
-            expected = sum(1 << i for i, v in enumerate(g.labels) if g.degree(v) == n - 1)
+            expected = sum(1 << i for i, a in enumerate(g.adj) if a.bit_count() == n - 1)
             assert g.universal_mask() == expected
 
 
-# -- link, star, join --------------------------------------------------------
-
-
-def test_link_of_cone_apex_is_square():
-    lk = link(square_cone(), 5)
-    assert lk.labels == (1, 2, 3, 4)
-    assert is_cycle(lk) == 4
-
-
-def test_link_in_simplex():
-    lk = link(simplex(2), 1)
-    assert faces_as_sets(lk) == {frozenset(), frozenset({2}), frozenset({3}), frozenset({2, 3})}
-
-
-def test_link_in_cycle():
-    lk = link(cycle(5), 1)
-    assert faces_as_sets(lk) == {frozenset(), frozenset({2}), frozenset({5})}
-
-
-def test_star_equals_link_joined_with_vertex():
-    for K in [cycle(5), square_partial_cone(), square_cone(), simplex(3)]:
-        for j in K.labels:
-            lk_faces = faces_as_sets(link(K, j))
-            expected = {f | extra for f in lk_faces for extra in (frozenset(), frozenset({j}))}
-            assert faces_as_sets(star(K, j)) == expected
+# -- join --------------------------------------------------------------------
 
 
 def test_join_square_with_point():
