@@ -4,7 +4,6 @@ over small simplicial complexes."""
 from .simplicial import (
     MAX_VERTICES,
     CheckResult,
-    Graph,
     SimplicialComplex,
     StarClassification,
     classify_star_condition,
@@ -17,7 +16,6 @@ from .simplicial import (
     is_minimally_non_chordal,
     join,
     join_factors,
-    one_skeleton,
 )
 from .homology import (
     BigradedTable,
@@ -56,6 +54,6 @@ from .loop_algebra import (
     poincare_series_closed,
     rank_oracle_monomials,
 )
-from .sweep import SweepConfig, SweepReport, enumerate_flag_complexes, run_sweep
+from .sweep import SweepConfig, SweepReport, run_sweep
 
 __version__ = "0.1.0"

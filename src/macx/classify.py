@@ -40,7 +40,7 @@ def is_free_commutator_group(K):
     group is free: for flag K this is chordality of the 1-skeleton, which is
     also Golodness of K."""
     _require_flag(K)
-    return bool(simplicial.is_chordal(simplicial.one_skeleton(K)))
+    return bool(simplicial.is_chordal(K))
 
 
 def one_relator_group_homological(K, groups=None):
@@ -88,7 +88,7 @@ def minimally_non_golod_flag(K):
     """Not Golod, but Golod after deleting any single vertex: deleting a vertex
     of a flag complex deletes it from the graph, so this is read off there."""
     _require_flag(K)
-    return simplicial.is_minimally_non_chordal(simplicial.one_skeleton(K))
+    return simplicial.is_minimally_non_chordal(K)
 
 
 def surface_genus(p):
@@ -163,7 +163,7 @@ def build_report(K, groups=None, table=None):
     homological ones under witnesses. The group, algebra and Golod verdicts
     are None when K is not flag, since those classifiers refuse it."""
     flag_check = simplicial.is_flag(K)
-    chordal_check = simplicial.is_chordal(simplicial.one_skeleton(K))
+    chordal_check = simplicial.is_chordal(K)
     star = simplicial.classify_star_condition(K)
     witnesses = {}
     if flag_check.witness:

@@ -26,15 +26,17 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .simplicial import bits
 
 GROUP = "group"
 ALGEBRA = "algebra"
 
-# Most generator words ``analyze`` lists, at about 0.7 KB of peak memory each
-# (619 MB for the 917,506 words of the 18-cycle): the bound keeps the
-# 4,194,306 words of the 20-cycle and caps the peak near 6 GB.
+# Most generator words ``enumerate_generators`` lists. ``analyze`` peaks at
+# about 0.7 KB of memory per word (619 MB for the 917,506 words of the
+# 18-cycle): the bound keeps the 4,194,306 words of the 20-cycle and caps
+# that peak near 6 GB.
 MAX_WORDS = 1 << 23
 
 _TO_ALGEBRA = str.maketrans("()g", "[]u")
@@ -71,10 +73,6 @@ class CommutatorWord:
             raise ValueError("prefix entries must differ from i")
         if list(self.prefix) != sorted(set(self.prefix)):
             raise ValueError("prefix must be strictly increasing")
-
-    @property
-    def support(self):
-        return tuple(sorted(set(self.prefix) | {self.i, self.j}))
 
     def render(self, kind=None):
         """The word as text, in ``kind`` (default: the word's own kind); the
@@ -185,8 +183,13 @@ def enumerate_generators(K, kind=GROUP):
 
     For each subset J with at least two vertices, j = max J; every connected
     component of K_J not containing j contributes the word with i its
-    smallest vertex and prefix J minus {i, j}."""
+    smallest vertex and prefix J minus {i, j}. More than ``MAX_WORDS`` words
+    are refused (ValueError) once the walk finds one past the bound, before
+    any word is rendered."""
     if kind not in (GROUP, ALGEBRA):
         raise ValueError(f"unknown word kind {kind!r}")
     # through a list: a tuple built straight from the walk grows by resizing
-    return GeneratorSet(K.labels, tuple(list(_word_codes(K))), kind)
+    codes = list(islice(_word_codes(K), MAX_WORDS + 1))
+    if len(codes) > MAX_WORDS:
+        raise ValueError(f"more than {MAX_WORDS} generator words")
+    return GeneratorSet(K.labels, tuple(codes), kind)

@@ -98,12 +98,6 @@ class HomologyGroup:
                 chain[depth - len(es) + k] *= p ** e
         return cls(free_rank, tuple(d for d in chain if d > 1))
 
-    @staticmethod
-    def direct_sum(*groups):
-        free = sum(g.free_rank for g in groups)
-        divisors = [d for g in groups for d in g.torsion]
-        return HomologyGroup.from_divisors(free, divisors)
-
     @property
     def is_zero(self):
         return self.free_rank == 0 and not self.torsion

@@ -6,7 +6,13 @@ package walk all 2^m subsets of the vertex set, which is what motivates the
 bound. Vertex labels are small nonnegative integers (1-based in the text file
 format); internally a label is mapped to a bit position in the complex's
 sorted label tuple. Everything here is immutable and all operations are pure,
-so complexes and graphs can be shared freely across threads or processes.
+so complexes can be shared freely across threads or processes.
+
+A flag complex is fixed by its 1-skeleton, which a complex keeps as
+``SimplicialComplex.adjacency``. There is no separate graph type: the graph
+predicates (chordality, induced cycles) take a complex and read its
+adjacency, and ``clique_complex`` builds the flag complex of a graph given
+by its vertices and edges.
 """
 
 from __future__ import annotations
@@ -79,13 +85,13 @@ class _ChordlessCycle(CheckResult):
     """A failed chordality check; its witness, a chordless cycle, is found on
     first read, so a caller that keeps only the verdict never pays for it."""
 
-    def __init__(self, graph):
+    def __init__(self, K):
         object.__setattr__(self, "ok", False)
-        object.__setattr__(self, "_graph", graph)
+        object.__setattr__(self, "_complex", K)
 
     @cached_property
     def witness(self):
-        return _find_hole(self._graph)
+        return _find_hole(self._complex)
 
 
 @dataclass(frozen=True)
@@ -109,11 +115,6 @@ class StarClassification:
     @classmethod
     def no_match(cls, reason):
         return cls(False, reason=reason)
-
-    @property
-    def q(self):
-        """Dimension of the simplex factor; -1 means no join factor."""
-        return len(self.cone_vertices) - 1
 
     def __bool__(self):
         return self.matches
@@ -201,12 +202,6 @@ class SimplicialComplex:
     def labels_of(self, mask):
         return tuple(self.labels[i] for i in bits(mask))
 
-    def has_face(self, subset):
-        try:
-            return self.mask_of(subset) in self.face_masks
-        except ValueError:
-            return False
-
     def faces(self):
         """All faces as sorted label tuples, ordered by (size, mask)."""
         for mask in sorted(self.face_masks, key=lambda f: (f.bit_count(), f)):
@@ -269,68 +264,7 @@ def _maximal_masks(faces, m):
     return out
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected simple graph on labelled vertices (adjacency as bitmasks)."""
-
-    labels: tuple[int, ...]
-    adj: tuple[int, ...]
-
-    @classmethod
-    def from_edges(cls, vertices, edges):
-        labels = _normalize_labels(vertices)
-        pos = {v: i for i, v in enumerate(labels)}
-        adj = [0] * len(labels)
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if u not in pos or v not in pos:
-                raise ValueError(f"edge ({u},{v}) outside declared vertex set")
-            adj[pos[u]] |= 1 << pos[v]
-            adj[pos[v]] |= 1 << pos[u]
-        return cls(labels, tuple(adj))
-
-    @property
-    def m(self):
-        return len(self.labels)
-
-    @property
-    def full_mask(self):
-        return (1 << self.m) - 1
-
-    def edges(self):
-        out = []
-        for i in range(self.m):
-            for j in bits(self.adj[i] >> (i + 1) << (i + 1)):
-                out.append((self.labels[i], self.labels[j]))
-        return out
-
-    def edge_count(self):
-        return sum(a.bit_count() for a in self.adj) // 2
-
-    def induced(self, mask):
-        """The subgraph induced on a position bitmask."""
-        return Graph(
-            tuple(self.labels[i] for i in bits(mask)),
-            tuple(_compress(self.adj[i], mask) for i in bits(mask)),
-        )
-
-    def universal_mask(self):
-        """Bitmask of the vertices adjacent to every other vertex."""
-        full = self.full_mask
-        return sum(1 << i for i, a in enumerate(self.adj) if a == full & ~(1 << i))
-
-
 # -- operations -----------------------------------------------------------
-
-
-def _compress(mask, kept):
-    """The bits of mask that lie in kept, renumbered by their rank among the
-    bits of kept."""
-    out = 0
-    for new, old in enumerate(bits(kept)):
-        out |= (mask >> old & 1) << new
-    return out
 
 
 def full_subcomplex(K, subset):
@@ -388,11 +322,6 @@ def join_factors(K):
     return tuple(factors)
 
 
-def one_skeleton(K):
-    """The graph of vertices and edges of K."""
-    return Graph(K.labels, K.adjacency)
-
-
 def is_flag(K):
     """Whether every missing face of K has exactly two vertices; the witness
     of a failure is a missing face (see ``SimplicialComplex.flag_check``)."""
@@ -411,28 +340,48 @@ def _clique_extensions(adj, cliques):
             yield f | 1 << v
 
 
-def clique_complex(G, max_faces=1 << 20):
-    """The complex whose faces are exactly the cliques of G. It is flag by
-    construction, so that verdict is set rather than recomputed."""
+def clique_complex(vertices, edges, max_faces=1 << 20):
+    """The flag complex of a graph: its faces are exactly the cliques.
+
+    ``vertices`` is a count m (labels 1..m) or an iterable of labels, and
+    ``edges`` are label pairs. It is flag by construction, so that verdict is
+    set rather than recomputed, and so is its adjacency.
+    """
+    labels = _normalize_labels(vertices)
+    pos = {v: i for i, v in enumerate(labels)}
+    adj = [0] * len(labels)
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if u not in pos or v not in pos:
+            raise ValueError(f"edge ({u},{v}) outside declared vertex set")
+        adj[pos[u]] |= 1 << pos[v]
+        adj[pos[v]] |= 1 << pos[u]
     faces = {0}
-    level = [1 << i for i in range(G.m)]
+    level = [1 << i for i in range(len(labels))]
     while level:
         faces.update(level)
         if len(faces) > max_faces:
             raise ValueError(f"clique enumeration exceeds budget of {max_faces} faces")
-        level = list(_clique_extensions(G.adj, level))
-    K = SimplicialComplex._from_faces(G.labels, faces)
+        level = list(_clique_extensions(adj, level))
+    K = SimplicialComplex._from_faces(labels, faces)
     object.__setattr__(K, "flag_check", CheckResult(True))
+    object.__setattr__(K, "adjacency", tuple(adj))
     return K
 
 
-def is_chordal(G):
-    """Chordality via maximum cardinality search plus perfect-elimination
-    verification; on failure the witness is a chordless cycle of length >= 4,
+def is_chordal(K):
+    """Whether the 1-skeleton of K is chordal (every cycle of length >= 4 has
+    a chord). On failure the witness is a chordless cycle of length >= 4,
     found when the witness is first read.
     """
-    n = G.m
-    adj = G.adj
+    return CheckResult(True) if _chordal(K.adjacency) else _ChordlessCycle(K)
+
+
+def _chordal(adj):
+    """Chordality of a graph given by neighbour bitmasks: maximum cardinality
+    search, then verification of the perfect elimination ordering it gives."""
+    n = len(adj)
     weight = [0] * n
     numbered = 0
     picks = []
@@ -462,39 +411,41 @@ def is_chordal(G):
             u = min(bits(nb), key=lambda x: position[x])
             rest = nb & ~(1 << u)
             if rest & ~adj[u]:
-                return _ChordlessCycle(G)
-    return CheckResult(True)
+                return False
+    return True
 
 
-def is_minimally_non_chordal(G):
-    """Not chordal, but chordal after deleting any one vertex (re-tested with
-    its edges removed, as an isolated vertex lies on no cycle)."""
-    if is_chordal(G):
+def is_minimally_non_chordal(K):
+    """The 1-skeleton of K is not chordal, but is chordal after deleting any
+    one vertex (re-tested with its edges removed, as an isolated vertex lies
+    on no cycle)."""
+    if is_chordal(K):
         return False
-    return all(is_chordal(Graph(G.labels, tuple(0 if u == v else a & ~(1 << v)
-                                                for u, a in enumerate(G.adj))))
-               for v in range(G.m))
+    adj = K.adjacency
+    return all(_chordal([0 if u == v else a & ~(1 << v) for u, a in enumerate(adj)])
+               for v in range(K.m))
 
 
-def _find_hole(G):
-    """A chordless cycle of length >= 4 in a non-chordal graph.
+def _find_hole(K):
+    """A chordless cycle of length >= 4 in the 1-skeleton of K, which is not
+    chordal.
 
     For each vertex v and each non-adjacent pair u, w of its neighbours, a
     shortest u-w path avoiding the rest of N[v] closes up with v to a cycle
     with no chords (shortcuts would contradict path minimality)."""
-    adj = G.adj
-    for v in range(G.m):
+    adj = K.adjacency
+    for v in range(K.m):
         nv = adj[v]
         nbrs = list(bits(nv))
         for ai, u in enumerate(nbrs):
             for w in nbrs[ai + 1:]:
                 if adj[u] >> w & 1:
                     continue
-                allowed = (G.full_mask & ~(nv | (1 << v))) | (1 << u) | (1 << w)
+                allowed = (K.full_mask & ~(nv | (1 << v))) | (1 << u) | (1 << w)
                 path = _bfs_path(adj, u, w, allowed)
                 if path is not None:
                     cycle = [v] + path
-                    return tuple(sorted(G.labels[i] for i in cycle))
+                    return tuple(sorted(K.labels[i] for i in cycle))
     return None
 
 
@@ -517,16 +468,17 @@ def _bfs_path(adj, src, dst, allowed):
     return None
 
 
-def find_induced_cycles(G, min_len=4):
-    """All vertex subsets inducing a cycle of length >= min_len (brute force
-    over subsets; fine at desk scale)."""
+def find_induced_cycles(K, min_len=4):
+    """All vertex subsets on which the 1-skeleton of K induces a cycle of
+    length >= min_len, as sorted label tuples (brute force over subsets; fine
+    at desk scale)."""
     out = []
-    adj = G.adj
-    for mask in range(1, G.full_mask + 1):
+    adj = K.adjacency
+    for mask in range(1, K.full_mask + 1):
         if mask.bit_count() < min_len:
             continue
         if _induces_cycle(adj, mask):
-            out.append(tuple(sorted(G.labels[i] for i in bits(mask))))
+            out.append(tuple(sorted(K.labels[i] for i in bits(mask))))
     return out
 
 
@@ -561,13 +513,14 @@ def classify_star_condition(K):
     """Test whether K is a p-cycle (p >= 4), possibly joined with a simplex.
 
     The simplex factor of such a join is exactly the set of universal
-    vertices (each cycle vertex has a non-neighbour since p >= 4), so the
-    cone vertices are removed in one step and the remainder must be a cycle.
-    Non-flag complexes never match.
+    vertices (each cycle vertex has a non-neighbour since p >= 4), which for
+    flag K are the one-vertex join factors. So the cone vertices are removed
+    in one step and the remainder must be a cycle. Non-flag complexes never
+    match.
     """
     if not is_flag(K):
         return StarClassification.no_match(REASON_NOT_FLAG)
-    universal = one_skeleton(K).universal_mask()
+    universal = sum(f for f in join_factors(K) if not f & f - 1)
     rest = K.full_mask & ~universal
     if rest == 0 or not _induces_cycle(K.adjacency, rest):
         return StarClassification.no_match(REASON_REMAINDER_NOT_CYCLE)

@@ -25,7 +25,7 @@ from math import factorial
 
 from . import classify, homology, simplicial
 from .homology import homology_at
-from .simplicial import Graph, bits
+from .simplicial import bits
 
 CHECK_GROUP = "thm3"          # H_2(R_K) = Z  <=>  cycle-join condition
 CHECK_ALGEBRA = "thm5"        # bigraded row condition  <=>  cycle-join condition
@@ -153,7 +153,7 @@ def graph_classes(max_n):
     for n in range(2, max_n + 1):
         found = {}
         for mask in level:
-            adj = _graph_from_mask(n - 1, mask).adj
+            adj = _adjacency(n - 1, mask)
             least = min(a.bit_count() for a in adj)
             lowest = sum(1 << i for i, a in enumerate(adj) if a.bit_count() == least)
             for S in range(1 << (n - 1)):
@@ -166,34 +166,21 @@ def graph_classes(max_n):
         yield level
 
 
-def _graph_from_mask(n, mask):
+def _adjacency(n, mask):
+    """Neighbour bitmasks of the graph on n vertices with edge mask ``mask``."""
     adj = [0] * n
     for k in bits(mask):
         u, v = _edge_list(n)[k]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(tuple(range(1, n + 1)), tuple(adj))
-
-
-def enumerate_flag_complexes(n, dedup_isomorphism=False):
-    """Clique complexes of all labelled graphs on n vertices, in edge-mask
-    order; with dedup, one per isomorphism class, its canonical form (see
-    ``graph_classes``; not necessarily the class's least mask), in mask
-    order."""
-    if not 1 <= n <= MAX_SWEEP_VERTICES:
-        raise ValueError(f"enumeration is supported for 1..{MAX_SWEEP_VERTICES} vertices")
-    masks = range(1 << len(_edge_list(n)))
-    if dedup_isomorphism:
-        masks = sorted(list(graph_classes(n))[-1])
-    for mask in masks:
-        yield simplicial.clique_complex(_graph_from_mask(n, mask))
+    return adj
 
 
 def _check_complex(cfg, n, mask, tallies, counterexamples):
-    graph = _graph_from_mask(n, mask)
-    K = simplicial.clique_complex(graph)
+    K = simplicial.clique_complex(n, [(u + 1, v + 1) for k, (u, v) in enumerate(_edge_list(n))
+                                      if mask >> k & 1])
     star = simplicial.classify_star_condition(K)
-    chordal = bool(simplicial.is_chordal(graph))
+    chordal = bool(simplicial.is_chordal(K))
     tallies["star_matches"] += star.matches
     tallies["chordal"] += chordal
 
@@ -237,15 +224,15 @@ def _check_complex(cfg, n, mask, tallies, counterexamples):
         cycle_len = simplicial.is_cycle(K)
         is_long_cycle = cycle_len is not None and cycle_len >= 4
         tallies["cycle_complexes"] += is_long_cycle
-        core = graph.induced(graph.full_mask & ~graph.universal_mask())
-        core_mng = simplicial.is_minimally_non_chordal(core)
+        cones = sum(f for f in simplicial.join_factors(K) if not f & f - 1)
+        core_mng = simplicial.is_minimally_non_chordal(K.induced(K.full_mask & ~cones))
         if star.matches != core_mng:
             report(CHECK_FLAGMNG, kind="cycle_join_vs_core_mng", core_mng=core_mng)
         if mng != is_long_cycle:
             report(CHECK_FLAGMNG, kind="mng_vs_cycle", mng=mng, cycle=cycle_len)
 
     if CHECK_CHORDAL_FREE in cfg.checks:
-        holes = simplicial.find_induced_cycles(graph, 4)
+        holes = simplicial.find_induced_cycles(K, 4)
         if chordal != (not holes):
             report(CHECK_CHORDAL_FREE, holes=[list(h) for h in holes])
 
@@ -266,7 +253,7 @@ def _check_classes(cfg, n, classes):
         for key, val in own.items():
             tallies[key] += weight * val
         if found:
-            adj = _graph_from_mask(n, mask).adj
+            adj = _adjacency(n, mask)
             orbit = sorted({_relabelled_mask(adj, p) for p in permutations(range(n))})
             for labelled in orbit[:1] if cfg.dedup_isomorphism else orbit:
                 _check_complex(cfg, n, labelled, dict.fromkeys(_TALLIES, 0), counterexamples)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from macx.simplicial import Graph, SimplicialComplex, bits
+from macx.simplicial import SimplicialComplex, bits, clique_complex
+from macx.sweep import graph_classes
 
 
 # -- standard complexes -----------------------------------------------------
@@ -58,12 +59,20 @@ def projective_plane():
     return SimplicialComplex.from_facets(facets, 6)
 
 
-def all_graphs(n):
-    """Every labelled graph on vertices 1..n."""
+def all_flag_complexes(n):
+    """Every flag complex on vertices 1..n: the clique complex of each
+    labelled graph, in edge-mask order."""
     pairs = list(combinations(range(1, n + 1), 2))
     for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        yield Graph.from_edges(n, edges)
+        yield clique_complex(n, [pairs[i] for i in bits(mask)])
+
+
+def class_flag_complexes(n):
+    """One flag complex on vertices 1..n per isomorphism class of graphs,
+    the clique complex of the class's canonical edge mask."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    for mask in sorted(list(graph_classes(n))[-1]):
+        yield clique_complex(n, [pairs[i] for i in bits(mask)])
 
 
 # -- oracles ----------------------------------------------------------------
@@ -137,7 +146,7 @@ def validate_word(K, word):
     going through the enumeration: the constructor enforces the index
     inequalities, so what remains is the component condition on the word's
     own support."""
-    support = K.mask_of(word.support)
+    support = K.mask_of((*word.prefix, word.i, word.j))
     jpos = K.mask_of((word.j,)).bit_length() - 1
     ipos = K.mask_of((word.i,)).bit_length() - 1
     for comp in components_within(K, support):

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import (
     IntMatrix,
-    all_graphs,
+    all_flag_complexes,
     cycle,
     simplex,
     smith_normal_form,
@@ -27,14 +27,12 @@ from macx.classify import (
 )
 from macx.homology import HomologyGroup
 from macx.simplicial import (
-    Graph,
     SimplicialComplex,
     clique_complex,
     full_subcomplex,
     is_chordal,
     classify_star_condition,
     join,
-    one_skeleton,
 )
 
 Z = HomologyGroup(1)
@@ -42,8 +40,7 @@ ZERO = HomologyGroup()
 
 
 def tree_complex():
-    g = Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
-    return clique_complex(g)
+    return clique_complex(5, [(1, 2), (2, 3), (3, 4), (3, 5)])
 
 
 def cone_join(p, q):
@@ -112,16 +109,15 @@ def test_golod_and_minimally_non_golod():
 def test_minimally_non_golod_matches_vertex_deletion_exhaustive():
     # the definition, rebuilding the full subcomplex for each deleted vertex
     def by_deletion(K):
-        if is_chordal(one_skeleton(K)):
+        if is_chordal(K):
             return False
         return all(
-            is_chordal(one_skeleton(full_subcomplex(K, [u for u in K.labels if u != v])))
+            is_chordal(full_subcomplex(K, [u for u in K.labels if u != v]))
             for v in K.labels
         )
 
     for n in range(1, 6):
-        for g in all_graphs(n):
-            K = clique_complex(g)
+        for K in all_flag_complexes(n):
             assert minimally_non_golod_flag(K) == by_deletion(K)
 
 

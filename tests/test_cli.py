@@ -53,7 +53,7 @@ def cone_file(tmp_path):
 def test_parse_complex_text():
     K = parse_complex_text(PARTIAL_CONE)
     assert K.m == 5
-    assert simplicial.one_skeleton(K).edge_count() == 7
+    assert sum(a.bit_count() for a in K.adjacency) // 2 == 7
     assert sum(1 for f in K.faces() if len(f) == 3) == 2
 
 
@@ -209,7 +209,7 @@ def test_generator_words_need_no_component_search(tmp_path, capsys):
     """The generator walk reads components from its table: the package keeps
     no per-subset component search, and analyze and generators run on every
     sample without one."""
-    assert not hasattr(simplicial.Graph, "component_masks")
+    assert not hasattr(simplicial.SimplicialComplex, "component_masks")
     c6 = tmp_path / "c6.cx"
     c6.write_text("vertices 6\n" + "".join(f"facet {i} {i % 6 + 1}\n" for i in range(1, 7)))
     samples = sorted(Path(__file__).resolve().parent.parent.glob("samples/*.cx"))
@@ -357,6 +357,8 @@ MANY_TWOS = "4:" + ",".join(["2"] * 30_000)   # coefficients past 4,300 digits a
     ["yspace", "-l", "0", "--word", "1"],
     ["yspace", "-l", "2", "--word", "3"],
     ["yspace", "-l", "2", "--word", ""],
+    ["generators", "{c8}"],                             # 258 words, bound patched to 257
+    ["generators", "{c8}", "--json"],
 ])
 def test_every_failure_is_one_error_line(monkeypatch, tmp_path, capsys, argv):
     """Bad input and over-limit requests end in ``error: ...`` and exit 1 at
@@ -390,6 +392,28 @@ def test_analyze_refuses_too_many_words_before_listing_them(monkeypatch, tmp_pat
     monkeypatch.setattr(generators, "enumerate_generators", listing)
     assert main(["analyze", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["generator_count"] == 258
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"], ["--kind", "algebra"]])
+def test_generators_refuses_words_past_the_bound(monkeypatch, tmp_path, capsys, extra):
+    path = tmp_path / "c8.cx"
+    path.write_text(EIGHT_CYCLE)
+
+    def no_rendering(*args):
+        raise AssertionError("rendered the words of a refused complex")
+
+    monkeypatch.setattr(generators, "MAX_WORDS", 257)
+    monkeypatch.setattr(generators.GeneratorSet, "rendered", no_rendering)
+    assert main(["generators", str(path), *extra]) == 1
+    assert capsys.readouterr() == ("", "error: more than 257 generator words\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(generators, "MAX_WORDS", 258)
+    assert main(["generators", str(path), *extra]) == 0
+    out = capsys.readouterr().out
+    if extra == ["--json"]:
+        assert json.loads(out)["count"] == 258
+    else:
+        assert out.endswith("count: 258\n")
 
 
 def test_usage_errors_exit_one():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    all_graphs,
+    all_flag_complexes,
     component_search_words,
     cycle,
     nested_commutator_text,
@@ -25,7 +25,7 @@ from macx.generators import (
     generator_count,
 )
 from macx.homology import homology_at, homology_R
-from macx.simplicial import Graph, SimplicialComplex, clique_complex, full_subcomplex
+from macx.simplicial import SimplicialComplex, clique_complex, full_subcomplex
 
 
 def assert_matches_component_search(K):
@@ -97,8 +97,8 @@ def test_word_shape_validation():
 
 def test_count_matches_enumeration_exhaustively():
     for n in range(1, 6):
-        for g in all_graphs(n):
-            assert_matches_component_search(clique_complex(g))
+        for K in all_flag_complexes(n):
+            assert_matches_component_search(K)
 
 
 def test_walk_matches_component_search_on_six_vertex_classes():
@@ -110,7 +110,7 @@ def test_walk_matches_component_search_on_six_vertex_classes():
     for labels in ((1, 2, 3, 4, 5, 6), (3, 10, 11, 27, 40, 99)):
         for g in graphs:
             edges = [(labels[u], labels[v]) for u, v in g.edges()]
-            assert_matches_component_search(clique_complex(Graph.from_edges(labels, edges)))
+            assert_matches_component_search(clique_complex(labels, edges))
 
 
 def test_walk_on_multi_digit_labels():
@@ -131,7 +131,7 @@ def complexes(draw, max_vertices=9):
     if draw(st.booleans()):
         pairs = list(combinations(labels, 2))
         edges = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
-        return clique_complex(Graph.from_edges(labels, edges))
+        return clique_complex(labels, edges)
     facet = st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True)
     return SimplicialComplex.from_facets(draw(st.lists(facet, max_size=12)), labels)
 
@@ -154,7 +154,7 @@ def test_count_is_rank_h1_on_graph_classes_up_to_six_vertices():
     assert len(graphs) == 208
     for g in graphs:
         edges = [(u + 1, v + 1) for u, v in g.edges()]
-        assert_count_is_rank_h1(clique_complex(Graph.from_edges(g.number_of_nodes(), edges)))
+        assert_count_is_rank_h1(clique_complex(g.number_of_nodes(), edges))
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
@@ -165,16 +165,16 @@ def test_count_is_rank_h1_on_drawn_complexes(K):
 
 def test_emitted_words_satisfy_side_conditions():
     corpus = [square_partial_cone(), square_cone(), cycle(6)]
-    corpus += [clique_complex(g) for g in all_graphs(4)]
+    corpus += list(all_flag_complexes(4))
     for K in corpus:
         for word in enumerate_generators(K, GROUP).words:
             assert validate_word(K, word)
             # independent component oracle on the word's support
-            support = word.support
+            support = sorted((*word.prefix, word.i, word.j))
             edges = [
                 (u, v)
                 for u, v in combinations(support, 2)
-                if K.has_face((u, v))
+                if K.mask_of((u, v)) in K.face_masks
             ]
             comps = union_find_components(support, edges)
             comp_i = next(c for c in comps if word.i in c)
@@ -184,8 +184,7 @@ def test_emitted_words_satisfy_side_conditions():
 
 def test_zero_count_iff_h1_vanishes():
     for n in range(1, 5):
-        for g in all_graphs(n):
-            K = clique_complex(g)
+        for K in all_flag_complexes(n):
             rank_h1 = homology_R(K)[1].free_rank if K.dim >= 0 else 0
             assert (generator_count(K) == 0) == (rank_h1 == 0)
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (
     IntMatrix,
-    all_graphs,
+    all_flag_complexes,
     boundary_matrix,
     cycle,
     euler_characteristic_real,
@@ -28,7 +28,6 @@ from macx.homology import (
     reduced_homology,
 )
 from macx.simplicial import (
-    Graph,
     SimplicialComplex,
     bits,
     clique_complex,
@@ -47,8 +46,8 @@ def test_group_normalisation():
     assert HomologyGroup.from_divisors(0, [2, 3]) == HomologyGroup(0, (6,))
     assert HomologyGroup.from_divisors(0, [4, 6]) == HomologyGroup(0, (2, 12))
     assert HomologyGroup.from_divisors(1, [0, 2]) == HomologyGroup(2, (2,))
-    assert HomologyGroup.direct_sum(HomologyGroup(1, (2,)), HomologyGroup(0, (3,))) == \
-        HomologyGroup(1, (6,))
+    # Z + Z/2 + Z/3 = Z + Z/6
+    assert HomologyGroup.from_divisors(1, [2, 3]) == HomologyGroup(1, (6,))
 
 
 def test_group_validation():
@@ -400,7 +399,7 @@ def test_betti_broken_cone():
 
 
 def test_euler_characteristic_consistency():
-    corpus = [clique_complex(g) for g in all_graphs(4)]
+    corpus = list(all_flag_complexes(4))
     corpus += [square_partial_cone(), square_cone(), square_broken_cone(), cycle(6)]
     for K in corpus:
         groups = homology_R(K)
@@ -412,26 +411,25 @@ def test_chordal_flag_concentrates_in_linear_row():
     # chordal flag complexes have all full subcomplexes homotopy-discrete, so
     # away from (0,0) the table lives on the line i = j - 1; a chordless cycle
     # breaks the line. Both directions exhaustively at five vertices.
-    from macx.simplicial import is_chordal, one_skeleton
+    from macx.simplicial import is_chordal
 
     for n in range(1, 6):
-        for g in all_graphs(n):
-            K = clique_complex(g)
+        for K in all_flag_complexes(n):
             table = bigraded_homology_Z(K)
             on_line = all(
                 (i, j2) == (0, 0) or i == j2 // 2 - 1 for i, j2 in table.entries
             )
-            assert on_line == bool(is_chordal(one_skeleton(K)))
+            assert on_line == bool(is_chordal(K))
 
 
 def test_chordal_flag_concentration_six_vertices():
     # the chordal direction over every chordal flag complex on six vertices
-    from macx.simplicial import is_chordal, one_skeleton
+    from macx.simplicial import is_chordal
 
-    for g in all_graphs(6):
-        if not is_chordal(g):
+    for K in all_flag_complexes(6):
+        if not is_chordal(K):
             continue
-        table = bigraded_homology_Z(clique_complex(g))
+        table = bigraded_homology_Z(K)
         assert all((i, j2) == (0, 0) or i == j2 // 2 - 1 for i, j2 in table.entries)
 
 
@@ -485,7 +483,7 @@ def _random_complexes(seed, count):
         m = rng.randint(1, 7)
         if k % 3 == 0:
             edges = [e for e in combinations(range(1, m + 1), 2) if rng.random() < 0.5]
-            out.append(clique_complex(Graph.from_edges(m, edges)))
+            out.append(clique_complex(m, edges))
         else:
             facets = [rng.sample(range(1, m + 1), rng.randint(1, min(m, 4)))
                       for _ in range(rng.randint(0, 7))]
@@ -511,8 +509,13 @@ def _tables_by_full_subcomplexes(K):
                 by_degree[deg + 1].append(g)
                 by_bidegree.setdefault((j - deg - 1, 2 * j), []).append(g)
     by_degree[0].append(Z)
-    groups = [HomologyGroup.direct_sum(*gs) for gs in by_degree]
-    return groups, {key: HomologyGroup.direct_sum(*gs) for key, gs in by_bidegree.items()}
+
+    def direct_sum(gs):
+        return HomologyGroup.from_divisors(sum(g.free_rank for g in gs),
+                                           [d for g in gs for d in g.torsion])
+
+    groups = [direct_sum(gs) for gs in by_degree]
+    return groups, {key: direct_sum(gs) for key, gs in by_bidegree.items()}
 
 
 def test_subset_walk_agrees_with_full_subcomplex_sums():
@@ -540,7 +543,7 @@ def _facet_dominated(K, J, v, w):
 
 
 def test_domination_table_matches_facet_definition():
-    corpus = [clique_complex(g) for n in range(1, 5) for g in all_graphs(n)]
+    corpus = [K for n in range(1, 5) for K in all_flag_complexes(n)]
     corpus += _random_complexes(7, 60) + [projective_plane(), square_broken_cone()]
     multi_seen = False
     for K in corpus:

@@ -9,19 +9,22 @@ from math import comb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs, cycle, projective_plane, square_broken_cone
+from conftest import (
+    all_flag_complexes,
+    class_flag_complexes,
+    cycle,
+    projective_plane,
+    square_broken_cone,
+)
 from macx import homology
 from macx.homology import HomologyGroup, homology_R_and_Z, reduced_homology
 from macx.simplicial import (
-    Graph,
     SimplicialComplex,
     classify_star_condition,
     clique_complex,
     join,
     join_factors,
-    one_skeleton,
 )
-from macx.sweep import enumerate_flag_complexes
 
 
 def joined(*parts):
@@ -86,8 +89,8 @@ def assert_factors_match_face_counts(K):
 
 def test_join_factors_on_every_flag_complex_up_to_five_vertices():
     for n in range(1, 6):
-        for g in all_graphs(n):
-            assert_factors_match_face_counts(clique_complex(g))
+        for K in all_flag_complexes(n):
+            assert_factors_match_face_counts(K)
 
 
 @st.composite
@@ -120,12 +123,14 @@ def test_join_factors_of_known_joins():
 
 
 def test_singleton_factors_are_the_cone_vertices():
-    corpus = [clique_complex(g) for n in range(1, 6) for g in all_graphs(n)]
-    corpus += list(enumerate_flag_complexes(6, dedup_isomorphism=True))
+    corpus = [K for n in range(1, 6) for K in all_flag_complexes(n)]
+    corpus += list(class_flag_complexes(6))
     matches = 0
     for K in corpus:
         singles = sum(f for f in join_factors(K) if f.bit_count() == 1)
-        assert singles == one_skeleton(K).universal_mask()
+        # the universal vertices, by degree count
+        assert singles == sum(1 << v for v, a in enumerate(K.adjacency)
+                              if a.bit_count() == K.m - 1)
         star = classify_star_condition(K)
         if star:
             matches += 1
@@ -144,7 +149,7 @@ def test_induced_keeps_labels_faces_and_flag_verdict():
     assert KA.face_masks == cycle(5).face_masks
     assert KB.face_masks == projective_plane().face_masks
     assert KA.flag_check and not KB.flag_check
-    L = clique_complex(Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)]))
+    L = clique_complex(4, [(1, 2), (2, 3), (3, 4)])
     assert "flag_check" in vars(L.induced(0b0101))  # passed on, not recomputed
 
 
@@ -186,7 +191,7 @@ def test_join_groups_match_homology_of_the_joined_complex(X, Y):
 def test_factored_tables_on_all_graph_classes_up_to_six_vertices():
     joins = 0
     for n in range(1, 7):
-        for K in enumerate_flag_complexes(n, dedup_isomorphism=True):
+        for K in class_flag_complexes(n):
             joins += len(join_factors(K)) > 1
             assert_matches_unfactored(K)
     assert joins == 65

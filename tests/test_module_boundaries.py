@@ -53,11 +53,11 @@ def test_scanner_flags_both_forms(tmp_path):
         "from .cli import _Parser\n"
         "homology._per_subset_groups(K)\n"
         "homology.homology_R(K)\n"
-        "s._compress(1, 3)\n"
+        "s._chordal(adj)\n"
         "K._positions\n"
     )
     assert reach_ins(path) == [
-        "from simplicial import _bits", "homology._per_subset_groups", "s._compress"
+        "from simplicial import _bits", "homology._per_subset_groups", "s._chordal"
     ]
 
 

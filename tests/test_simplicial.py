@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from conftest import (
-    all_graphs,
+    all_flag_complexes,
     brute_missing_faces,
     cycle,
     projective_plane,
@@ -15,7 +15,6 @@ from conftest import (
 )
 from macx import simplicial
 from macx.simplicial import (
-    Graph,
     SimplicialComplex,
     classify_star_condition,
     clique_complex,
@@ -24,13 +23,17 @@ from macx.simplicial import (
     is_chordal,
     is_cycle,
     is_flag,
+    is_minimally_non_chordal,
     join,
-    one_skeleton,
 )
 
 
 def faces_as_sets(K):
     return {frozenset(f) for f in K.faces()}
+
+
+def edges(K):
+    return [f for f in K.faces() if len(f) == 2]
 
 
 # -- construction ------------------------------------------------------------
@@ -41,8 +44,8 @@ def test_from_facets_four_cycle():
     assert K.m == 4
     assert sum(1 for f in K.faces() if len(f) == 1) == 4
     assert sum(1 for f in K.faces() if len(f) == 2) == 4
-    assert K.has_face(())
-    assert not K.has_face((1, 3))
+    assert K.mask_of(()) in K.face_masks
+    assert K.mask_of((1, 3)) not in K.face_masks
 
 
 def test_from_facets_partial_cone():
@@ -108,7 +111,7 @@ def test_full_subcomplex_requires_subset():
 
 def test_full_subcomplex_is_face_filtering():
     # against the defining property, over every subset of a small corpus
-    corpus = [clique_complex(g) for g in all_graphs(4)]
+    corpus = list(all_flag_complexes(4))
     corpus += [square_partial_cone(), square_cone(), square_broken_cone()]
     for K in corpus:
         for size in range(K.m + 1):
@@ -118,19 +121,15 @@ def test_full_subcomplex_is_face_filtering():
 
 
 def test_induced_subgraph_is_skeleton_of_full_subcomplex_exhaustive():
+    # the full subcomplex of a flag complex is the clique complex of the
+    # induced subgraph, with the same adjacency
     for n in range(1, 6):
-        for g in all_graphs(n):
-            K = clique_complex(g)
+        for K in all_flag_complexes(n):
             for mask in range(1 << n):
-                expected = one_skeleton(full_subcomplex(K, K.labels_of(mask)))
-                assert g.induced(mask) == expected
-
-
-def test_universal_mask_matches_degree_count_exhaustive():
-    for n in range(1, 6):
-        for g in all_graphs(n):
-            expected = sum(1 << i for i, a in enumerate(g.adj) if a.bit_count() == n - 1)
-            assert g.universal_mask() == expected
+                J = set(K.labels_of(mask))
+                expected = clique_complex(sorted(J), [e for e in edges(K) if set(e) <= J])
+                sub = full_subcomplex(K, sorted(J))
+                assert sub == expected and sub.adjacency == expected.adjacency
 
 
 # -- join --------------------------------------------------------------------
@@ -163,10 +162,13 @@ def test_join_requires_disjoint_labels():
 # -- one-skeleton, flagness, clique complexes --------------------------------
 
 
-def test_one_skeleton_shapes():
-    assert one_skeleton(cycle(6)).edge_count() == 6
-    assert one_skeleton(square_partial_cone()).edge_count() == 7
-    assert one_skeleton(simplex(3)).edge_count() == 6
+def test_adjacency_shapes():
+    def edge_count(K):
+        return sum(a.bit_count() for a in K.adjacency) // 2
+
+    assert edge_count(cycle(6)) == 6
+    assert edge_count(square_partial_cone()) == 7
+    assert edge_count(simplex(3)) == 6
 
 
 def test_is_flag_examples():
@@ -182,8 +184,7 @@ def test_is_flag_examples():
 def test_is_flag_matches_brute_force_missing_faces():
     # rebuilt from their faces, so that the level-by-level check runs rather
     # than the verdict that clique_complex sets
-    corpus = [SimplicialComplex(K.labels, K.face_masks)
-              for K in map(clique_complex, all_graphs(4))]
+    corpus = [SimplicialComplex(K.labels, K.face_masks) for K in all_flag_complexes(4)]
     corpus += [square_partial_cone(), square_broken_cone(), cycle(3), projective_plane()]
     for K in corpus:
         missing = brute_missing_faces(K)
@@ -195,21 +196,29 @@ def test_is_flag_matches_brute_force_missing_faces():
 
 
 def test_clique_complex_examples():
-    g = one_skeleton(cycle(5))
-    assert clique_complex(g) == cycle(5)
-    k4 = Graph.from_edges(4, list(combinations(range(1, 5), 2)))
-    assert clique_complex(k4) == simplex(3)
+    assert clique_complex(5, edges(cycle(5))) == cycle(5)
+    assert clique_complex(4, combinations(range(1, 5), 2)) == simplex(3)
     partial = square_partial_cone()
-    assert clique_complex(one_skeleton(partial)) == partial
+    assert clique_complex(partial.labels, edges(partial)) == partial
+    K = clique_complex([3, 10, 27], [(27, 3), (3, 10)])
+    assert K.labels == (3, 10, 27) and edges(K) == [(3, 10), (3, 27)]
+
+
+def test_clique_complex_rejects_bad_graphs():
+    for vertices, bad in [(3, [(2, 2)]), (3, [(1, 4)]), ([1, 2], [(0, 1)]),
+                          ([1, 1, 2], []), ([-1, 2], []), (25, [])]:
+        with pytest.raises(ValueError):
+            clique_complex(vertices, bad)
 
 
 def test_clique_complex_sets_a_flag_verdict_that_holds():
     for n in range(1, 6):
-        for g in all_graphs(n):
-            K = clique_complex(g)
+        for K in all_flag_complexes(n):
             assert "flag_check" in vars(K) and K.flag_check
             assert all(len(f) == 2 for f in brute_missing_faces(K))
-            assert SimplicialComplex(K.labels, K.face_masks).flag_check == K.flag_check
+            rebuilt = SimplicialComplex(K.labels, K.face_masks)
+            assert rebuilt.flag_check == K.flag_check
+            assert rebuilt.adjacency == K.adjacency
 
 
 def test_facets_found_on_first_use(monkeypatch):
@@ -217,7 +226,7 @@ def test_facets_found_on_first_use(monkeypatch):
     maximal = simplicial._maximal_masks
     monkeypatch.setattr(simplicial, "_maximal_masks",
                         lambda faces, m: calls.append(m) or maximal(faces, m))
-    K = clique_complex(one_skeleton(square_partial_cone()))
+    K = clique_complex(5, edges(square_partial_cone()))
     same = SimplicialComplex.from_facets([[1, 2, 5], [2, 3, 5], [1, 4], [3, 4]], 5)
     assert calls == []
     assert K == same and hash(K) == hash(same)
@@ -227,16 +236,15 @@ def test_facets_found_on_first_use(monkeypatch):
 
 
 def test_clique_complex_budget():
-    k5 = Graph.from_edges(5, list(combinations(range(1, 6), 2)))
     with pytest.raises(ValueError):
-        clique_complex(k5, max_faces=10)
+        clique_complex(5, combinations(range(1, 6), 2), max_faces=10)
 
 
 def test_flag_iff_clique_complex_of_skeleton():
-    corpus = [clique_complex(g) for g in all_graphs(4)]
+    corpus = list(all_flag_complexes(4))
     corpus += [square_partial_cone(), square_cone(), square_broken_cone(), cycle(3)]
     for K in corpus:
-        rebuilt = clique_complex(one_skeleton(K))
+        rebuilt = clique_complex(K.labels, edges(K))
         assert (rebuilt == K) == bool(is_flag(K))
 
 
@@ -245,31 +253,31 @@ def test_flag_iff_clique_complex_of_skeleton():
 
 def test_is_chordal_examples():
     for p in range(4, 9):
-        check = is_chordal(one_skeleton(cycle(p)))
+        check = is_chordal(cycle(p))
         assert not check
         assert check.witness == tuple(range(1, p + 1))
-    assert is_chordal(Graph.from_edges(5, [(1, 2), (2, 3), (2, 4), (4, 5)]))  # tree
-    assert is_chordal(Graph.from_edges(4, list(combinations(range(1, 5), 2))))
-    check = is_chordal(one_skeleton(square_partial_cone()))
+    assert is_chordal(clique_complex(5, [(1, 2), (2, 3), (2, 4), (4, 5)]))  # tree
+    assert is_chordal(simplex(3))
+    check = is_chordal(square_partial_cone())
     assert not check and check.witness == (1, 2, 3, 4)
 
 
 def test_chordless_cycle_found_only_when_read(monkeypatch):
     calls = []
     find_hole = simplicial._find_hole
-    monkeypatch.setattr(simplicial, "_find_hole", lambda g: calls.append(g) or find_hole(g))
-    check = is_chordal(one_skeleton(cycle(6)))
+    monkeypatch.setattr(simplicial, "_find_hole", lambda K: calls.append(K) or find_hole(K))
+    check = is_chordal(cycle(6))
     assert not check and calls == []
     assert check.witness == tuple(range(1, 7)) and len(calls) == 1
     assert check.witness == tuple(range(1, 7)) and len(calls) == 1
 
 
 def test_find_induced_cycles_examples():
-    assert find_induced_cycles(one_skeleton(cycle(5))) == [(1, 2, 3, 4, 5)]
-    assert find_induced_cycles(Graph.from_edges(4, [(1, 2), (2, 3), (3, 4)])) == []
+    assert find_induced_cycles(cycle(5)) == [(1, 2, 3, 4, 5)]
+    assert find_induced_cycles(clique_complex(4, [(1, 2), (2, 3), (3, 4)])) == []
     # the partial cone has two induced squares: 1-2-3-4 and 1-4-3-5 (the
     # second is what makes H_(-2,8) of its moment-angle complex have rank 2)
-    assert find_induced_cycles(one_skeleton(square_partial_cone())) == [
+    assert find_induced_cycles(square_partial_cone()) == [
         (1, 2, 3, 4),
         (1, 3, 4, 5),
     ]
@@ -277,9 +285,9 @@ def test_find_induced_cycles_examples():
 
 def test_chordality_agrees_with_induced_cycle_scan_exhaustive():
     for n in range(1, 6):
-        for g in all_graphs(n):
-            check = is_chordal(g)
-            holes = find_induced_cycles(g, 4)
+        for K in all_flag_complexes(n):
+            check = is_chordal(K)
+            holes = find_induced_cycles(K, 4)
             assert bool(check) == (not holes)
             if holes:
                 assert check.witness in holes
@@ -290,9 +298,47 @@ def test_chordality_agrees_on_random_graphs():
     for n in (6, 7):
         pairs = list(combinations(range(1, n + 1), 2))
         for _ in range(200):
-            edges = [e for e in pairs if rng.random() < 0.45]
-            g = Graph.from_edges(n, edges)
-            assert bool(is_chordal(g)) == (not find_induced_cycles(g, 4))
+            chosen = [e for e in pairs if rng.random() < 0.45]
+            K = clique_complex(n, chosen)
+            assert bool(is_chordal(K)) == (not find_induced_cycles(K, 4))
+
+
+def _networkx_corpus(nx):
+    """Every labelled graph on at most five vertices and the 156 atlas
+    graphs on six, each as (networkx graph, its clique complex)."""
+    for n in range(1, 6):
+        for K in all_flag_complexes(n):
+            G = nx.Graph()
+            G.add_nodes_from(K.labels)
+            G.add_edges_from(edges(K))
+            yield G, K
+    six = [g for g in nx.graph_atlas_g() if g.number_of_nodes() == 6]
+    assert len(six) == 156
+    for g in six:
+        G = nx.relabel_nodes(g, lambda v: v + 1)
+        yield G, clique_complex(6, G.edges())
+
+
+def test_graph_predicates_against_networkx():
+    """Chordality, induced cycles, minimal non-chordality and the witness
+    against networkx, which shares no code with them."""
+    nx = pytest.importorskip("networkx")
+    count = 0
+    for G, K in _networkx_corpus(nx):
+        count += 1
+        chordal = nx.is_chordal(G)
+        check = is_chordal(K)
+        assert bool(check) == chordal, K
+        holes = find_induced_cycles(K)
+        assert len(set(holes)) == len(holes)
+        assert set(holes) == {tuple(sorted(c)) for c in nx.chordless_cycles(G) if len(c) >= 4}
+        minimal = not chordal and all(nx.is_chordal(G.subgraph(set(G) - {v})) for v in G)
+        assert is_minimally_non_chordal(K) == minimal, K
+        if not check:
+            hole = G.subgraph(check.witness)
+            assert len(hole) >= 4 and nx.is_connected(hole)
+            assert all(d == 2 for _, d in hole.degree())
+    assert count == 1 + 2 + 8 + 64 + 1024 + 156
 
 
 # -- star condition ----------------------------------------------------------
@@ -303,7 +349,6 @@ def test_star_condition_examples():
     assert got.matches and got.p == 5 and got.cone_vertices == ()
     got = classify_star_condition(square_cone())
     assert got.matches and got.p == 4 and got.cone_vertices == (5,)
-    assert got.q == 0
     got = classify_star_condition(square_partial_cone())
     assert not got.matches and got.reason == simplicial.REASON_REMAINDER_NOT_CYCLE
     got = classify_star_condition(square_broken_cone())
@@ -349,6 +394,3 @@ def test_complexes_are_immutable():
     K = cycle(4)
     with pytest.raises(AttributeError):
         K.labels = (1, 2)
-    g = one_skeleton(K)
-    with pytest.raises(AttributeError):
-        g.adj = ()

@@ -4,39 +4,29 @@ from math import comb, factorial
 
 import pytest
 
+from conftest import class_flag_complexes
 from macx import simplicial, sweep
 from macx.simplicial import CheckResult, classify_star_condition
-from macx.sweep import SweepConfig, SweepReport, enumerate_flag_complexes, graph_classes, run_sweep
+from macx.sweep import SweepConfig, SweepReport, graph_classes, run_sweep
 
 A000088 = [1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668]  # graphs on n vertices
 
 
-def test_labelled_counts():
-    assert sum(1 for _ in enumerate_flag_complexes(3)) == 8
-    assert sum(1 for _ in enumerate_flag_complexes(4)) == 64
-    assert sum(1 for _ in enumerate_flag_complexes(5)) == 1024
-
-
 def test_isomorphism_class_counts():
-    assert sum(1 for _ in enumerate_flag_complexes(3, dedup_isomorphism=True)) == 4
-    assert sum(1 for _ in enumerate_flag_complexes(4, dedup_isomorphism=True)) == 11
-
-
-def test_enumeration_range_validation():
-    with pytest.raises(ValueError):
-        list(enumerate_flag_complexes(0))
-    with pytest.raises(ValueError):
-        list(enumerate_flag_complexes(10))
+    # with dedup the sweep checks one complex per class: 1 + 2 + 4 + 11
+    checks = frozenset({"chordal_free"})
+    report = run_sweep(SweepConfig(max_vertices=4, dedup_isomorphism=True, checks=checks))
+    assert report.complexes_checked == 18
 
 
 def test_cycle_join_classes_on_five_vertices():
     # among isomorphism classes on exactly five vertices, the cycle-join
     # condition picks out the 5-cycle and the cone over the 4-cycle
     shapes = set()
-    for K in enumerate_flag_complexes(5, dedup_isomorphism=True):
+    for K in class_flag_complexes(5):
         got = classify_star_condition(K)
         if got.matches:
-            shapes.add((got.p, got.q))
+            shapes.add((got.p, len(got.cone_vertices) - 1))
     assert shapes == {(5, -1), (4, 0)}
 
 
