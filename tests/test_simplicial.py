@@ -25,6 +25,7 @@ from macx.simplicial import (
     is_flag,
     is_minimally_non_chordal,
     join,
+    join_factors,
 )
 
 
@@ -130,6 +131,14 @@ def test_induced_subgraph_is_skeleton_of_full_subcomplex_exhaustive():
                 expected = clique_complex(sorted(J), [e for e in edges(K) if set(e) <= J])
                 sub = full_subcomplex(K, sorted(J))
                 assert sub == expected and sub.adjacency == expected.adjacency
+
+
+def test_universal_mask_matches_degree_count_exhaustive():
+    # the universal vertices are the one-vertex join factors
+    for n in range(1, 6):
+        for K in all_flag_complexes(n):
+            expected = sum(1 << i for i, a in enumerate(K.adjacency) if a.bit_count() == n - 1)
+            assert sum(f for f in join_factors(K) if f.bit_count() == 1) == expected
 
 
 # -- join --------------------------------------------------------------------
