@@ -39,7 +39,6 @@ from .classify import (
     y_space_homology,
 )
 from .generators import (
-    CommutatorWord,
     GeneratorSet,
     enumerate_generators,
     generator_count,

@@ -3,9 +3,10 @@ Golodness, each decidable by independent combinatorial and homological routes.
 
 The combinatorial route looks only at the 1-skeleton (chordality, the
 cycle-join structure of ``simplicial.classify_star_condition``); the
-homological route inspects H_2 of the real moment-angle complex or the
-bigraded row H_{2-j,2j} of the moment-angle complex. Each verdict is decided
-here once: ``build_report`` (for ``analyze``) and the exhaustive sweeps in
+homological route reads H_2 of the real moment-angle complex or the bigraded
+row H_{2-j,2j} of the moment-angle complex from the homology its caller
+computed, and computes none itself. Each verdict is decided here once:
+``build_report`` (for ``analyze``) and the exhaustive sweeps in
 :mod:`macx.sweep` read these functions, and the sweeps assert that the two
 routes never disagree.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from . import homology, simplicial
+from . import simplicial
 from .homology import HomologyGroup, Z_GROUP, ZERO_GROUP, homology_at
 
 
@@ -43,21 +44,18 @@ def is_free_commutator_group(K):
     return bool(simplicial.is_chordal(K))
 
 
-def one_relator_group_homological(K, groups=None):
-    """Homological route: H_2(R_K) is exactly Z (rank one, no torsion)."""
+def one_relator_group_homological(K, groups):
+    """Homological route: H_2(R_K), read from ``groups`` = H_*(R_K), is
+    exactly Z (rank one, no torsion)."""
     _require_flag(K)
-    if groups is None:
-        groups = homology.homology_R(K)
     return homology_at(groups, 2) == Z_GROUP
 
 
-def one_relator_algebra_homological(K, table=None):
+def one_relator_algebra_homological(K, table):
     """Homological route for the loop algebra: the row H_{2-j,2j} of the
-    bigraded table holds exactly one nonzero group, equal to Z, at some
-    4 <= j <= m."""
+    bigraded table of H(Z_K) holds exactly one nonzero group, equal to Z, at
+    some 4 <= j <= m."""
     _require_flag(K)
-    if table is None:
-        table = homology.bigraded_homology_Z(K)
     hits = []
     for j in range(2, K.m + 1):
         g = table.entry(j - 2, 2 * j)
@@ -69,16 +67,13 @@ def one_relator_algebra_homological(K, table=None):
     return 4 <= j <= K.m and g == Z_GROUP
 
 
-def vanishing_check(K, groups=None, table=None):
+def vanishing_check(K, groups, table):
     """For a complex satisfying the cycle-join condition, verify both
-    vanishing statements: H_k(R_K) = 0 for k >= 3 and H_{-i,2j}(Z_K) = 0
-    whenever j - i >= 3."""
+    vanishing statements on its homology H_*(R_K) and bigraded table of
+    H(Z_K): H_k(R_K) = 0 for k >= 3 and H_{-i,2j}(Z_K) = 0 whenever
+    j - i >= 3."""
     if not simplicial.classify_star_condition(K):
         raise ValueError("vanishing check applies to cycle-join complexes only")
-    if groups is None:
-        groups = homology.homology_R(K)
-    if table is None:
-        table = homology.bigraded_homology_Z(K)
     if any(not g.is_zero for g in groups[3:]):
         return False
     return all(j2 // 2 - i < 3 for (i, j2) in table.entries)
@@ -156,12 +151,13 @@ def y_space_homology(l, relator):
     return [Z_GROUP, HomologyGroup.from_divisors(l - 1, [g]), ZERO_GROUP]
 
 
-def build_report(K, groups=None, table=None):
-    """The verdict fields of the analysis of one complex, as plain data,
-    reusing precomputed homology when supplied. Both one-relator routes are
-    evaluated: the report states the combinatorial verdict and files the
-    homological ones under witnesses. The group, algebra and Golod verdicts
-    are None when K is not flag, since those classifiers refuse it."""
+def build_report(K, groups, table):
+    """The verdict fields of the analysis of one complex, as plain data, read
+    off K and its homology: H_*(R_K) and the bigraded table of H(Z_K). Both
+    one-relator routes are evaluated: the report states the combinatorial
+    verdict and files the homological ones under witnesses. The group,
+    algebra and Golod verdicts are None when K is not flag, since those
+    classifiers refuse it."""
     flag_check = simplicial.is_flag(K)
     chordal_check = simplicial.is_chordal(K)
     star = simplicial.classify_star_condition(K)
@@ -182,10 +178,6 @@ def build_report(K, groups=None, table=None):
     }
     if not flag_check:
         return report
-    if groups is None:
-        groups = homology.homology_R(K)
-    if table is None:
-        table = homology.bigraded_homology_Z(K)
     report.update(
         free_group=bool(chordal_check),
         one_relator_group=bool(star),

@@ -178,17 +178,18 @@ def cmd_analyze(args):
 
 
 def cmd_generators(args):
-    gens = generators.enumerate_generators(parse_complex(args.file), args.kind)
+    gens = generators.enumerate_generators(parse_complex(args.file))
+    words = gens.rendered(args.kind)
     if args.json:
         data = {
             "count": gens.count,
             "kind": args.kind,
-            "words": gens.rendered(),
-            "data": [{"prefix": list(w.prefix), "j": w.j, "i": w.i} for w in gens.words],
+            "words": words,
+            "data": [{"prefix": list(prefix), "j": j, "i": i} for prefix, j, i in gens.words],
         }
         print(json.dumps(data, sort_keys=True, indent=2))
     else:
-        print("".join(f"{word}\n" for word in gens.rendered()) + f"count: {gens.count}")
+        print("".join(f"{word}\n" for word in words) + f"count: {gens.count}")
     return 0
 
 

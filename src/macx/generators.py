@@ -47,50 +47,15 @@ def _piece(label):
 
 
 @dataclass(frozen=True)
-class CommutatorWord:
-    """A nested commutator over indexed generators.
-
-    The canonical shape is (prefix k_1 < ... < k_{l-2}, j, i) with j > i,
-    every k_s distinct from i, and i the smallest vertex of a connected
-    component of the full subcomplex on prefix + {i, j} not containing j.
-    ``kind`` selects group commutators (g_a, g_b) or graded algebra
-    commutators [u_a, u_b] for rendering.
-    """
-
-    kind: str
-    prefix: tuple[int, ...]
-    j: int
-    i: int
-
-    def __post_init__(self):
-        if self.kind not in (GROUP, ALGEBRA):
-            raise ValueError(f"unknown word kind {self.kind!r}")
-        if self.j <= self.i:
-            raise ValueError("need j > i")
-        if any(k >= self.j for k in self.prefix):
-            raise ValueError("prefix entries must precede j")
-        if self.i in self.prefix:
-            raise ValueError("prefix entries must differ from i")
-        if list(self.prefix) != sorted(set(self.prefix)):
-            raise ValueError("prefix must be strictly increasing")
-
-    def render(self, kind=None):
-        """The word as text, in ``kind`` (default: the word's own kind); the
-        two kinds differ only in notation."""
-        word = ("".join(map(_piece, (*self.prefix, self.j))) + f"g_{self.i})"
-                + ")" * len(self.prefix))
-        return word if (kind or self.kind) == GROUP else word.translate(_TO_ALGEBRA)
-
-
-@dataclass(frozen=True)
 class GeneratorSet:
     """The words of one enumeration in canonical order, over vertex labels
-    ``labels``. ``codes`` holds one integer per word: the prefix's position
-    mask above the low m bits, which hold the positions of i and j."""
+    ``labels``. A word is its code: ``codes`` holds one integer per word, the
+    prefix's position mask above the low m bits, which hold the positions of
+    i and j. ``words`` reads them as (prefix, j, i) label triples and
+    ``rendered`` as text."""
 
     labels: tuple[int, ...]
     codes: tuple[int, ...]
-    kind: str = GROUP
 
     @property
     def count(self):
@@ -100,10 +65,13 @@ class GeneratorSet:
     def words(self):
         return _WordView(self)
 
-    def rendered(self, kind=None):
-        """Every word as text, in ``kind`` (default: the set's own kind)."""
+    def rendered(self, kind=GROUP):
+        """Every word as text, as group or as algebra commutators; the two
+        kinds differ only in notation."""
+        if kind not in (GROUP, ALGEBRA):
+            raise ValueError(f"unknown word kind {kind!r}")
         text = self._group_text
-        if (kind or self.kind) == GROUP or not text:
+        if kind == GROUP or not text:
             return list(text)
         # one translate over all the words, which hold no newline
         return "\n".join(text).translate(_TO_ALGEBRA).split("\n")
@@ -125,7 +93,8 @@ class GeneratorSet:
 
 
 class _WordView(Sequence):
-    """A ``GeneratorSet``'s words as ``CommutatorWord``s, each built when read."""
+    """A ``GeneratorSet``'s words as (prefix, j, i) label tuples, each built
+    when read."""
 
     def __init__(self, gens):
         self._gens = gens
@@ -137,8 +106,8 @@ class _WordView(Sequence):
         labels, m = self._gens.labels, len(self._gens.labels)
         code = self._gens.codes[n]
         pair = code & ((1 << m) - 1)
-        return CommutatorWord(self._gens.kind, tuple(labels[k] for k in bits(code >> m)),
-                              labels[pair.bit_length() - 1], labels[(pair & -pair).bit_length() - 1])
+        return (tuple(labels[k] for k in bits(code >> m)),
+                labels[pair.bit_length() - 1], labels[(pair & -pair).bit_length() - 1])
 
 
 def _concatenations(pieces):
@@ -177,7 +146,7 @@ def generator_count(K):
     return sum(1 for _ in _word_codes(K))
 
 
-def enumerate_generators(K, kind=GROUP):
+def enumerate_generators(K):
     """All generator words in canonical order (subset as ascending bitmask,
     then i ascending within a subset).
 
@@ -186,10 +155,8 @@ def enumerate_generators(K, kind=GROUP):
     smallest vertex and prefix J minus {i, j}. More than ``MAX_WORDS`` words
     are refused (ValueError) once the walk finds one past the bound, before
     any word is rendered."""
-    if kind not in (GROUP, ALGEBRA):
-        raise ValueError(f"unknown word kind {kind!r}")
     # through a list: a tuple built straight from the walk grows by resizing
     codes = list(islice(_word_codes(K), MAX_WORDS + 1))
     if len(codes) > MAX_WORDS:
         raise ValueError(f"more than {MAX_WORDS} generator words")
-    return GeneratorSet(K.labels, tuple(codes), kind)
+    return GeneratorSet(K.labels, tuple(codes))

@@ -117,11 +117,12 @@ Z_GROUP = HomologyGroup(1)
 
 
 def sparse_rank_invariants(columns):
-    """Rank and SNF diagonal of a matrix given as sparse columns.
+    """Rank and torsion of a matrix given as sparse columns: the number of
+    nonzero entries of its Smith normal form, and those > 1 as a divisibility
+    chain (the others are 1).
 
     Each column is a dict {row index: coefficient}; zero coefficients are
-    ignored. The diagonal is returned as a divisibility chain, its units
-    first.
+    ignored.
 
     Every step is unimodular and works on sparse rows ``{row: {col: coeff}}``.
     A unit pass picks a +-1 entry in a short column, taking the shortest row
@@ -232,10 +233,8 @@ def sparse_rank_invariants(columns):
             del rows[pivot], col_rows[j]
             divisors.append(a)
     if not divisors:
-        return ones, (1,) * ones
-    rank = ones + len(divisors)
-    torsion = HomologyGroup.from_divisors(0, divisors).torsion
-    return rank, (1,) * (rank - len(torsion)) + torsion
+        return ones, ()
+    return ones + len(divisors), HomologyGroup.from_divisors(0, divisors).torsion
 
 
 # -- reduced homology -------------------------------------------------------
@@ -296,7 +295,7 @@ def _reduced_groups_impl(faces):
         return (HomologyGroup(comps - 1), HomologyGroup(n1 - n0 + comps))
     counts = {k: len(v) for k, v in levels.items()}
     ranks = {0: 1, 1: n0 - comps}
-    invariants = {}
+    torsions = {}
     for k in range(2, dim + 1):
         targets = sorted(levels[k - 1])
         index = {f: i for i, f in enumerate(targets)}
@@ -306,16 +305,9 @@ def _reduced_groups_impl(faces):
             for r, b in enumerate(bits(f)):
                 col[index[f & ~(1 << b)]] = -1 if r % 2 else 1
             cols.append(col)
-        rank, diag = sparse_rank_invariants(cols)
-        ranks[k] = rank
-        invariants[k] = diag
-    out = []
-    for k in range(0, dim + 1):
-        rank_up = ranks.get(k + 1, 0)
-        free = counts[k] - ranks[k] - rank_up
-        torsion = [d for d in invariants.get(k + 1, ()) if d > 1]
-        out.append(HomologyGroup.from_divisors(free, torsion))
-    return tuple(out)
+        ranks[k], torsions[k] = sparse_rank_invariants(cols)
+    return tuple(HomologyGroup(counts[k] - ranks[k] - ranks.get(k + 1, 0), torsions.get(k + 1, ()))
+                 for k in range(dim + 1))
 
 
 def reduced_homology(K):
@@ -522,7 +514,6 @@ class BigradedTable:
     """Bigraded homology of Z_K: nonzero groups keyed by (i, 2j), the group
     sitting in bidegree (-i, 2j). Total degree k = 2j - i."""
 
-    m: int
     entries: dict
 
     def entry(self, i, j2):
@@ -555,7 +546,7 @@ def _assemble_Z(K, tally):
             slot[1].extend(g.torsion * n)
     entries = {key: HomologyGroup.from_divisors(f, t) for key, (f, t) in acc.items()}
     entries[(0, 0)] = Z_GROUP  # empty subset
-    return BigradedTable(K.m, entries)
+    return BigradedTable(entries)
 
 
 def bigraded_homology_Z(K):

@@ -356,7 +356,7 @@ def dga_homology_ranks(A, n):
     form per degree over the monomial basis."""
     _check_truncation(n)
     rank_d = [0] * (n + 2)
-    invariants = [()] * (n + 2)
+    torsions = [()] * (n + 2)
     dims = [len(A.basis(k)) for k in range(n + 2)]
     support = set(A.differentials)
     for k in range(1, n + 2):
@@ -367,16 +367,14 @@ def dga_homology_ranks(A, n):
                 cols.append({})
                 continue
             cols.append({lower[w]: c for w, c in A.diff_word(word).items()})
-        rank_d[k], diag = sparse_rank_invariants(cols)
-        invariants[k] = diag
+        rank_d[k], torsions[k] = sparse_rank_invariants(cols)
     ranks = []
     torsion = {}
     for k in range(n + 1):
         free = dims[k] - rank_d[k] - rank_d[k + 1]
         ranks.append(free)
-        tors = tuple(d for d in invariants[k + 1] if d > 1)
-        if tors:
-            torsion[k] = tors
+        if torsions[k + 1]:
+            torsion[k] = torsions[k + 1]
     return DGAHomology(tuple(ranks), torsion)
 
 

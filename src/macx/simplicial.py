@@ -468,14 +468,14 @@ def _bfs_path(adj, src, dst, allowed):
     return None
 
 
-def find_induced_cycles(K, min_len=4):
+def find_induced_cycles(K):
     """All vertex subsets on which the 1-skeleton of K induces a cycle of
-    length >= min_len, as sorted label tuples (brute force over subsets; fine
-    at desk scale)."""
+    length >= 4, as sorted label tuples (brute force over subsets; fine at
+    desk scale)."""
     out = []
     adj = K.adjacency
     for mask in range(1, K.full_mask + 1):
-        if mask.bit_count() < min_len:
+        if mask.bit_count() < 4:
             continue
         if _induces_cycle(adj, mask):
             out.append(tuple(sorted(K.labels[i] for i in bits(mask))))

@@ -232,7 +232,7 @@ def _check_complex(cfg, n, mask, tallies, counterexamples):
             report(CHECK_FLAGMNG, kind="mng_vs_cycle", mng=mng, cycle=cycle_len)
 
     if CHECK_CHORDAL_FREE in cfg.checks:
-        holes = simplicial.find_induced_cycles(K, 4)
+        holes = simplicial.find_induced_cycles(K)
         if chordal != (not holes):
             report(CHECK_CHORDAL_FREE, holes=[list(h) for h in holes])
 

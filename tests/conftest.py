@@ -142,13 +142,17 @@ def nested_commutator_text(prefix, j, i, kind):
 
 
 def validate_word(K, word):
-    """Re-check the side conditions of a word against the complex, without
-    going through the enumeration: the constructor enforces the index
-    inequalities, so what remains is the component condition on the word's
-    own support."""
-    support = K.mask_of((*word.prefix, word.i, word.j))
-    jpos = K.mask_of((word.j,)).bit_length() - 1
-    ipos = K.mask_of((word.i,)).bit_length() - 1
+    """Re-check the side conditions of a (prefix, j, i) label triple against
+    the complex, without going through the enumeration: first the index
+    conditions, j > i, the prefix strictly increasing and below j, and i not
+    in it; then the component condition on the word's own support."""
+    prefix, j, i = word
+    if not (j > i and all(a < b for a, b in zip(prefix, (*prefix[1:], j)))
+            and i not in prefix):
+        return False
+    support = K.mask_of((*prefix, i, j))
+    jpos = K.mask_of((j,)).bit_length() - 1
+    ipos = K.mask_of((i,)).bit_length() - 1
     for comp in components_within(K, support):
         if comp >> ipos & 1:
             if comp >> jpos & 1:

@@ -25,7 +25,7 @@ from macx.classify import (
     vanishing_check,
     y_space_homology,
 )
-from macx.homology import HomologyGroup
+from macx.homology import BigradedTable, HomologyGroup, homology_R, homology_R_and_Z
 from macx.simplicial import (
     SimplicialComplex,
     clique_complex,
@@ -59,36 +59,39 @@ def test_one_relator_group_routes():
     assert classify_star_condition(square_cone())
     assert not classify_star_condition(square_partial_cone())
     assert not classify_star_condition(simplex(3))
-    assert one_relator_group_homological(square_cone())
-    assert not one_relator_group_homological(square_partial_cone())
-    assert one_relator_group_homological(cycle(6))
+    for K, verdict in [(square_cone(), True), (square_partial_cone(), False), (cycle(6), True)]:
+        assert one_relator_group_homological(K, homology_R(K)) == verdict
+    # the verdict reads the groups it is handed
+    assert not one_relator_group_homological(square_cone(), [Z, ZERO, HomologyGroup(2)])
 
 
 def test_one_relator_algebra_route():
-    assert one_relator_algebra_homological(cycle(5))
-    assert not one_relator_algebra_homological(square_partial_cone())
-    for q in range(0, 3):
-        assert not one_relator_algebra_homological(simplex(q))
+    for K, verdict in [(cycle(5), True), (square_partial_cone(), False),
+                       *((simplex(q), False) for q in range(0, 3))]:
+        assert one_relator_algebra_homological(K, homology_R_and_Z(K)[1]) == verdict
+    assert not one_relator_algebra_homological(cycle(5), BigradedTable({}))
 
 
 def test_classifiers_reject_non_flag():
     bad = square_broken_cone()
-    for fn in [
-        is_free_commutator_group,
-        one_relator_group_homological,
-        one_relator_algebra_homological,
-        minimally_non_golod_flag,
+    groups, table = homology_R_and_Z(bad)
+    for call in [
+        lambda: is_free_commutator_group(bad),
+        lambda: one_relator_group_homological(bad, groups),
+        lambda: one_relator_algebra_homological(bad, table),
+        lambda: minimally_non_golod_flag(bad),
     ]:
         with pytest.raises(NonFlagError):
-            fn(bad)
+            call()
 
 
 def test_vanishing_check():
-    assert vanishing_check(cycle(4))
-    assert vanishing_check(cycle(7))
-    assert vanishing_check(cone_join(5, 1))
+    for K in [cycle(4), cycle(7), cone_join(5, 1)]:
+        assert vanishing_check(K, *homology_R_and_Z(K))
+    groups, table = homology_R_and_Z(cycle(4))
+    assert not vanishing_check(cycle(4), [*groups, Z], table)   # a nonzero H_3(R_K)
     with pytest.raises(ValueError):
-        vanishing_check(square_partial_cone())
+        vanishing_check(square_partial_cone(), *homology_R_and_Z(square_partial_cone()))
 
 
 def test_golod_and_minimally_non_golod():
@@ -128,8 +131,6 @@ def test_surface_genus():
 
 
 def test_genus_euler_relation():
-    from macx.homology import homology_R
-
     for p in range(4, 9):
         groups = homology_R(cycle(p))
         chi = sum((-1) ** k * g.free_rank for k, g in enumerate(groups))
@@ -199,7 +200,7 @@ def test_y_space_rejects_bad_input():
 
 
 def test_build_report_flag_case():
-    report = build_report(square_cone())
+    report = build_report(square_cone(), *homology_R_and_Z(square_cone()))
     assert report["flag"] and not report["chordal"]
     assert report["star_condition"] == {
         "matches": True, "p": 4, "cone_vertices": [5], "reason": None}
@@ -216,7 +217,7 @@ def test_build_report_flag_case():
 
 def test_build_report_consistency_invariants():
     for K in [cycle(5), square_cone(), square_partial_cone(), simplex(2), tree_complex()]:
-        report = build_report(K)
+        report = build_report(K, *homology_R_and_Z(K))
         assert report["free_group"] == report["golod"] == report["chordal"]
         assert report["free_group"] == is_free_commutator_group(K)
         if report["one_relator_group"]:
@@ -227,7 +228,7 @@ def test_build_report_consistency_invariants():
 
 
 def test_build_report_non_flag():
-    report = build_report(square_broken_cone())
+    report = build_report(square_broken_cone(), *homology_R_and_Z(square_broken_cone()))
     assert not report["flag"]
     for key in ("free_group", "one_relator_group", "one_relator_algebra",
                 "golod", "minimally_non_golod", "genus"):

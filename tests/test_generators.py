@@ -17,13 +17,7 @@ from conftest import (
     validate_word,
 )
 from macx.classify import surface_genus
-from macx.generators import (
-    ALGEBRA,
-    GROUP,
-    CommutatorWord,
-    enumerate_generators,
-    generator_count,
-)
+from macx.generators import ALGEBRA, GROUP, enumerate_generators, generator_count
 from macx.homology import homology_at, homology_R
 from macx.simplicial import SimplicialComplex, clique_complex, full_subcomplex
 
@@ -33,13 +27,12 @@ def assert_matches_component_search(K):
     data, the rendered words of both kinds and the count."""
     expected = component_search_words(K)
     assert generator_count(K) == len(expected)
+    gens = enumerate_generators(K)
+    assert gens.count == len(gens.words) == len(expected)
+    assert list(gens.words) == expected
+    assert gens.rendered() == gens.rendered(GROUP)
     for kind in (GROUP, ALGEBRA):
-        gens = enumerate_generators(K, kind)
-        assert gens.count == len(gens.words) == len(expected)
-        assert [(w.prefix, w.j, w.i) for w in gens.words] == expected
-        assert gens.rendered() == [nested_commutator_text(*w, kind) for w in expected]
-        other = ALGEBRA if kind == GROUP else GROUP
-        assert gens.rendered(other) == [nested_commutator_text(*w, other) for w in expected]
+        assert gens.rendered(kind) == [nested_commutator_text(*w, kind) for w in expected]
 
 
 def test_counts_on_cycles():
@@ -53,8 +46,8 @@ def test_counts_on_simplices():
 
 
 def test_words_partial_cone():
-    words = enumerate_generators(square_partial_cone(), GROUP)
-    assert words.rendered() == [
+    words = enumerate_generators(square_partial_cone())
+    assert words.rendered(GROUP) == [
         "(g_3,g_1)",
         "(g_4,g_2)",
         "(g_5,g_4)",
@@ -63,36 +56,29 @@ def test_words_partial_cone():
 
 
 def test_words_cone_algebra():
-    words = enumerate_generators(square_cone(), ALGEBRA)
-    assert words.rendered() == ["[u_3,u_1]", "[u_4,u_2]"]
+    words = enumerate_generators(square_cone())
+    assert words.rendered(ALGEBRA) == ["[u_3,u_1]", "[u_4,u_2]"]
 
 
 def test_words_square():
-    words = enumerate_generators(cycle(4), GROUP)
+    words = enumerate_generators(cycle(4))
     assert words.rendered() == ["(g_3,g_1)", "(g_4,g_2)"]
 
 
-def test_render_word():
-    assert CommutatorWord(GROUP, (2,), 5, 4).render() == "(g_2,(g_5,g_4))"
-    assert CommutatorWord(ALGEBRA, (), 3, 1).render() == "[u_3,u_1]"
-    assert CommutatorWord(GROUP, (), 2, 1).render() == "(g_2,g_1)"
-    assert CommutatorWord(ALGEBRA, (2, 3), 5, 1).render() == "[u_2,[u_3,[u_5,u_1]]]"
-    assert CommutatorWord(GROUP, (10, 12), 31, 11).render() == "(g_10,(g_12,(g_31,g_11)))"
-    assert CommutatorWord(GROUP, (2,), 5, 4).render(ALGEBRA) == "[u_2,[u_5,u_4]]"
-    assert CommutatorWord(ALGEBRA, (2,), 5, 4).render(GROUP) == "(g_2,(g_5,g_4))"
-
-
 def test_word_shape_validation():
-    with pytest.raises(ValueError):
-        CommutatorWord(GROUP, (), 1, 2)       # j must exceed i
-    with pytest.raises(ValueError):
-        CommutatorWord(GROUP, (5,), 4, 1)     # prefix beyond j
-    with pytest.raises(ValueError):
-        CommutatorWord(GROUP, (1,), 4, 1)     # prefix collides with i
-    with pytest.raises(ValueError):
-        CommutatorWord("ring", (), 2, 1)
-    with pytest.raises(ValueError):
-        enumerate_generators(cycle(4), "ring")
+    """The oracle's index checks, each on a triple of C6 whose support leaves
+    i's component without j, so that only an index check rejects it; and the
+    renderer's kind check."""
+    K = cycle(6)
+    assert validate_word(K, ((2,), 5, 1))
+    assert validate_word(K, ((2, 3), 5, 1))
+    assert not validate_word(K, ((2,), 1, 5))      # j must exceed i
+    assert not validate_word(K, ((4,), 3, 1))      # prefix beyond j
+    assert not validate_word(K, ((3, 2), 5, 1))    # prefix out of order
+    assert not validate_word(K, ((2, 2), 5, 1))    # prefix repeats
+    assert not validate_word(K, ((1, 2), 5, 1))    # prefix collides with i
+    with pytest.raises(ValueError, match="unknown word kind 'ring'"):
+        enumerate_generators(cycle(4)).rendered("ring")
 
 
 def test_count_matches_enumeration_exhaustively():
@@ -167,19 +153,20 @@ def test_emitted_words_satisfy_side_conditions():
     corpus = [square_partial_cone(), square_cone(), cycle(6)]
     corpus += list(all_flag_complexes(4))
     for K in corpus:
-        for word in enumerate_generators(K, GROUP).words:
+        for word in enumerate_generators(K).words:
             assert validate_word(K, word)
             # independent component oracle on the word's support
-            support = sorted((*word.prefix, word.i, word.j))
+            prefix, j, i = word
+            support = sorted((*prefix, i, j))
             edges = [
                 (u, v)
                 for u, v in combinations(support, 2)
                 if K.mask_of((u, v)) in K.face_masks
             ]
             comps = union_find_components(support, edges)
-            comp_i = next(c for c in comps if word.i in c)
-            assert word.j not in comp_i
-            assert word.i == min(comp_i)
+            comp_i = next(c for c in comps if i in c)
+            assert j not in comp_i
+            assert i == min(comp_i)
 
 
 def test_zero_count_iff_h1_vanishes():

@@ -296,7 +296,7 @@ def test_chordality_agrees_with_induced_cycle_scan_exhaustive():
     for n in range(1, 6):
         for K in all_flag_complexes(n):
             check = is_chordal(K)
-            holes = find_induced_cycles(K, 4)
+            holes = find_induced_cycles(K)
             assert bool(check) == (not holes)
             if holes:
                 assert check.witness in holes
@@ -309,7 +309,7 @@ def test_chordality_agrees_on_random_graphs():
         for _ in range(200):
             chosen = [e for e in pairs if rng.random() < 0.45]
             K = clique_complex(n, chosen)
-            assert bool(is_chordal(K)) == (not find_induced_cycles(K, 4))
+            assert bool(is_chordal(K)) == (not find_induced_cycles(K))
 
 
 def _networkx_corpus(nx):
