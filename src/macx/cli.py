@@ -211,8 +211,10 @@ def cmd_poincare(args):
     if args.oracle:
         rows.append(("oracle", loop_algebra.rank_oracle_monomials(M, n)))
     if args.dga:
-        n_dga = args.dga_truncate if args.dga_truncate is not None else min(n, 10)
         model = loop_algebra.adams_hilton_model(M)
+        n_dga = args.dga_truncate
+        if n_dga is None:
+            n_dga = model.truncation_within_budget(min(n, 10))
         rows.append(("dga", loop_algebra.dga_homology_ranks(model, n_dga).series))
     overlap = min(r.truncation for _, r in rows)
     agree = all(

@@ -269,6 +269,15 @@ class FreeDGAlgebra:
         """Expand d(d(g)) for every generator and check it vanishes."""
         return all(not self.diff_combination(image) for image in self.differentials.values())
 
+    def truncation_within_budget(self, n):
+        """The largest truncation t <= n (0 if none) whose bases, through
+        degree t + 1 as ``dga_homology_ranks`` builds them, each fit the
+        budget. Their sizes are read off the free algebra's series, so no
+        basis is built."""
+        sizes = free_algebra_series([deg for _, deg in self.generators], n + 1).coefficients
+        over = next((k for k, size in enumerate(sizes) if size > _BASIS_BUDGET), n + 2)
+        return max(over - 2, 0)
+
     def basis(self, n):
         """All words of total degree n, in a fixed generator-major order."""
         cached = self._basis_cache.get(n)

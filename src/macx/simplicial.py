@@ -469,17 +469,14 @@ def _bfs_path(adj, src, dst, allowed):
 
 
 def find_induced_cycles(K):
-    """All vertex subsets on which the 1-skeleton of K induces a cycle of
-    length >= 4, as sorted label tuples (brute force over subsets; fine at
-    desk scale)."""
-    out = []
+    """Yield the vertex subsets on which the 1-skeleton of K induces a cycle
+    of length >= 4, as sorted label tuples, in increasing mask order (brute
+    force over subsets; fine at desk scale). Lazy, so asking whether one
+    exists stops at the first."""
     adj = K.adjacency
     for mask in range(1, K.full_mask + 1):
-        if mask.bit_count() < 4:
-            continue
-        if _induces_cycle(adj, mask):
-            out.append(tuple(sorted(K.labels[i] for i in bits(mask))))
-    return out
+        if mask.bit_count() >= 4 and _induces_cycle(adj, mask):
+            yield tuple(sorted(K.labels[i] for i in bits(mask)))
 
 
 def _induces_cycle(adj, mask):

@@ -17,7 +17,6 @@ report does not depend on the schedule.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -102,43 +101,120 @@ def _relabelled_mask(adj, order):
     return sum(1 << k for k, (i, j) in enumerate(pairs) if adj[order[i]] >> order[j] & 1)
 
 
-def _refine(adj, cells):
+def _refine(adj, cells, splitters):
     """Split the ordered cells (vertex bitmasks) by each vertex's neighbour
-    count in every cell until those counts are constant on each cell. Only
-    the cells are read, so refining commutes with relabelling."""
-    while True:
+    count in one splitter cell at a time until no splitter is left; then
+    those counts are constant on each cell. A split cell's parts stay in its
+    place in increasing count and become splitters: all of them if the cell
+    was still waiting as one, else all but its first largest part, whose
+    counts the others determine. Only cell positions, sizes and counts are
+    read, so refining commutes with relabelling."""
+    queue = list(splitters)
+    while queue and len(cells) < len(adj):
+        splitter = queue.pop(0)
         out = []
         for cell in cells:
-            if not cell & (cell - 1):
-                out.append(cell)
-                continue
-            split = {}
-            for v in bits(cell):
-                key = tuple((adj[v] & c).bit_count() for c in cells)
-                split[key] = split.get(key, 0) | 1 << v
-            out.extend(split[k] for k in sorted(split))
-        if len(out) == len(cells):
-            return cells
+            if cell & (cell - 1):
+                parts = {}
+                for v in bits(cell):
+                    count = (adj[v] & splitter).bit_count()
+                    parts[count] = parts.get(count, 0) | 1 << v
+                if len(parts) > 1:
+                    split = [parts[c] for c in sorted(parts)]
+                    out.extend(split)
+                    if cell in queue:
+                        at = queue.index(cell)
+                        queue[at:at + 1] = split
+                    else:
+                        split.remove(max(split, key=int.bit_count))
+                        queue.extend(split)
+                    continue
+            out.append(cell)
         cells = out
+    return cells
+
+
+def _individualise(adj, cells, k, v):
+    """Give v its own cell in front of the rest of cell k and refine. The
+    cells were equitable, so {v} is the only splitter."""
+    return _refine(adj, cells[:k] + [1 << v, cells[k] ^ 1 << v] + cells[k + 1:], [1 << v])
+
+
+def _leaves(adj, cells):
+    """Yield the vertex order of each leaf of the search tree below the node
+    ``cells``, depth first; a node is refined only when it is reached."""
+    k = _first_split(cells)
+    if k is None:
+        yield [c.bit_length() - 1 for c in cells]
+        return
+    for v in bits(cells[k]):
+        yield from _leaves(adj, _individualise(adj, cells, k, v))
+
+
+def _first_split(cells):
+    return next((k for k, c in enumerate(cells) if c & (c - 1)), None)
 
 
 def _canonical_form(adj):
-    """(certificate, |Aut G|): the largest edge mask over the leaves of the
-    tree that refines, then gives each vertex of the first non-singleton
-    cell its own cell in turn. It is searched with no pruning, so the leaves
-    reaching the certificate are one of them composed with each automorphism."""
-    leaves = []
-    stack = [_refine(adj, [(1 << len(adj)) - 1])]
-    while stack:
-        cells = stack.pop()
-        k = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
-        if k is None:
-            leaves.append(_relabelled_mask(adj, [c.bit_length() - 1 for c in cells]))
-        else:
-            stack.extend(_refine(adj, cells[:k] + [1 << v, cells[k] ^ 1 << v] + cells[k + 1:])
-                         for v in bits(cells[k]))
-    best = max(leaves)
-    return best, leaves.count(best)
+    """(certificate, |Aut G|, generators of Aut G). The search tree refines,
+    then individualises each vertex of the first non-singleton cell in turn;
+    a leaf orders the vertices, and the certificate is the largest edge mask
+    over the leaves. The first path descends to a leaf. Walking back up it,
+    path node i tries one child per orbit of the automorphisms found so far
+    and searches the child's subtree only until a leaf has the first leaf's
+    edge mask. Mapping the first leaf's order to that leaf's is an
+    automorphism that fixes the first i path vertices and takes the i-th to
+    the child, so the rest of the subtree is its image of ground already
+    covered (McKay & Piperno, "Practical graph isomorphism, II", J. Symb.
+    Comput. 60, 2014). Every leaf mask of the tree is still seen, and by
+    orbit-stabiliser |Aut G| is the product over the path of the orbit of
+    its vertex under the automorphisms found at or below it. The generators
+    are permutations of the certificate's vertices: automorphisms of the
+    graph with that edge mask."""
+    n = len(adj)
+    path = []
+    cells = _refine(adj, [(1 << n) - 1], [(1 << n) - 1])
+    while (k := _first_split(cells)) is not None:
+        v = (cells[k] & -cells[k]).bit_length() - 1
+        path.append((cells, k, v))
+        cells = _individualise(adj, cells, k, v)
+    first = [c.bit_length() - 1 for c in cells]
+    target = best = _relabelled_mask(adj, first)
+    best_order = first
+    root, size = list(range(n)), [1] * n
+
+    def find(v):
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    found = []
+    aut = 1
+    for cells, k, v in reversed(path):
+        tried = [v]
+        for w in bits(cells[k]):
+            if any(find(w) == find(u) for u in tried):
+                continue
+            tried.append(w)
+            for order in _leaves(adj, _individualise(adj, cells, k, w)):
+                mask = _relabelled_mask(adj, order)
+                if mask > best:
+                    best, best_order = mask, order
+                if mask == target:
+                    gamma = [0] * n
+                    for a, b in zip(first, order):
+                        gamma[a] = b
+                        ra, rb = find(a), find(b)
+                        if ra != rb:
+                            root[rb] = ra
+                            size[ra] += size[rb]
+                    found.append(gamma)
+                    break
+        aut *= size[find(v)]
+    position = [0] * n
+    for p, v in enumerate(best_order):
+        position[v] = p
+    return best, aut, [[position[g[v]] for v in best_order] for g in found]
 
 
 def graph_classes(max_n):
@@ -147,23 +223,47 @@ def graph_classes(max_n):
     of least degree leaves a graph on n-1 vertices, so the classes at n are
     those at n-1 plus a vertex with each neighbourhood S that leaves it of
     least degree, deduplicated by certificate (after McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 26, 1998)."""
+    exhaustive generation", J. Algorithms 26, 1998). Neighbourhoods in one
+    orbit of Aut(parent) give isomorphic graphs, so one S per orbit is
+    tried, the orbits closed under the generators ``_canonical_form``
+    returned for the parent."""
     level = {0: 1}
+    symmetries = {0: []}
     yield level
     for n in range(2, max_n + 1):
-        found = {}
-        for mask in level:
+        found, found_symmetries = {}, {}
+        for mask, generators in symmetries.items():
             adj = _adjacency(n - 1, mask)
             least = min(a.bit_count() for a in adj)
             lowest = sum(1 << i for i, a in enumerate(adj) if a.bit_count() == least)
+            images = [_subset_images(g) for g in generators]
+            tried = bytearray(1 << (n - 1))
             for S in range(1 << (n - 1)):
-                if S.bit_count() > least + (not lowest & ~S):
+                if tried[S] or S.bit_count() > least + (not lowest & ~S):
                     continue
+                orbit = [S]
+                tried[S] = 1
+                for T in orbit:
+                    for image in images:
+                        if not tried[image[T]]:
+                            tried[image[T]] = 1
+                            orbit.append(image[T])
                 grown = [a | (S >> i & 1) << (n - 1) for i, a in enumerate(adj)]
-                cert, aut = _canonical_form(grown + [S])
-                found[cert] = aut
-        level = found
+                cert, found[cert], cert_generators = _canonical_form(grown + [S])
+                if n < max_n:  # the last level has no children to try
+                    found_symmetries[cert] = cert_generators
+        level, symmetries = found, found_symmetries
         yield level
+
+
+def _subset_images(perm):
+    """The image of every vertex subset under the vertex permutation perm,
+    indexed by subset mask."""
+    image = [0] * (1 << len(perm))
+    for S in range(1, len(image)):
+        low = S & -S
+        image[S] = image[S ^ low] | 1 << perm[low.bit_length() - 1]
+    return image
 
 
 def _adjacency(n, mask):
@@ -232,9 +332,8 @@ def _check_complex(cfg, n, mask, tallies, counterexamples):
             report(CHECK_FLAGMNG, kind="mng_vs_cycle", mng=mng, cycle=cycle_len)
 
     if CHECK_CHORDAL_FREE in cfg.checks:
-        holes = simplicial.find_induced_cycles(K)
-        if chordal != (not holes):
-            report(CHECK_CHORDAL_FREE, holes=[list(h) for h in holes])
+        if chordal != (next(simplicial.find_induced_cycles(K), None) is None):
+            report(CHECK_CHORDAL_FREE, holes=[list(h) for h in simplicial.find_induced_cycles(K)])
 
 
 def _check_classes(cfg, n, classes):
@@ -282,6 +381,8 @@ def run_sweep(cfg, workers=None):
         step = -(-len(reps) // (4 * workers))
         jobs.extend((cfg, n, reps[lo:lo + step]) for lo in range(0, len(reps), step))
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # costly import, needed only here
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_check_classes, *zip(*jobs)))
     else:

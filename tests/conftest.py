@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from macx import sweep
 from macx.simplicial import SimplicialComplex, bits, clique_complex
 from macx.sweep import graph_classes
 
@@ -76,6 +77,25 @@ def class_flag_complexes(n):
 
 
 # -- oracles ----------------------------------------------------------------
+
+
+def unpruned_canonical_form(adj):
+    """The search tree of ``sweep._canonical_form`` walked whole, with no
+    automorphism pruning: (largest leaf edge mask, number of leaves with
+    that mask). Aut G permutes the leaves freely and the leaves with equal
+    masks are one orbit, so the count is |Aut G|."""
+    full = (1 << len(adj)) - 1
+    leaves = []
+    stack = [sweep._refine(adj, [full], [full])]
+    while stack:
+        cells = stack.pop()
+        k = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+        if k is None:
+            leaves.append(sweep._relabelled_mask(adj, [c.bit_length() - 1 for c in cells]))
+        else:
+            stack.extend(sweep._individualise(adj, cells, k, v) for v in bits(cells[k]))
+    best = max(leaves)
+    return best, leaves.count(best)
 
 
 def union_find_components(vertices, edges):

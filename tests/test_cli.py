@@ -234,6 +234,19 @@ def test_poincare_command(capsys):
     assert data["series"]["dga"] == [1, 0, 5, 5, 25, 49]
 
 
+@pytest.mark.parametrize("p, depth", [(6, 8), (7, 7)])
+def test_poincare_dga_default_truncation_fits_the_budget(capsys, p, depth):
+    # the default is min(--truncate, 10) lowered until every basis fits
+    assert main(["poincare", "--cycle", str(p), "--dga", "--json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["agree"] is True and data["agree_through"] == depth
+    assert data["series"]["dga"] == data["series"]["closed"][:depth + 1]
+    # asked for explicitly, an over-budget truncation is still refused
+    assert main(["poincare", "--cycle", str(p), "--dga", "--dga-truncate", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: monomial basis")
+
+
 def test_poincare_rejects_negative_dga_truncation(capsys):
     argv = ["poincare", "--cycle", "5", "--dga", "--dga-truncate", "-2", "--json"]
     assert main(argv) == 1

@@ -282,21 +282,32 @@ def test_chordless_cycle_found_only_when_read(monkeypatch):
 
 
 def test_find_induced_cycles_examples():
-    assert find_induced_cycles(cycle(5)) == [(1, 2, 3, 4, 5)]
-    assert find_induced_cycles(clique_complex(4, [(1, 2), (2, 3), (3, 4)])) == []
+    assert list(find_induced_cycles(cycle(5))) == [(1, 2, 3, 4, 5)]
+    assert list(find_induced_cycles(clique_complex(4, [(1, 2), (2, 3), (3, 4)]))) == []
     # the partial cone has two induced squares: 1-2-3-4 and 1-4-3-5 (the
     # second is what makes H_(-2,8) of its moment-angle complex have rank 2)
-    assert find_induced_cycles(square_partial_cone()) == [
+    assert list(find_induced_cycles(square_partial_cone())) == [
         (1, 2, 3, 4),
         (1, 3, 4, 5),
     ]
+
+
+def test_find_induced_cycles_stops_at_the_first_hole(monkeypatch):
+    # a square on 1..4 beside sixteen isolated vertices: mask 15 is the first hole
+    K = clique_complex(20, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    tested = []
+    induces_cycle = simplicial._induces_cycle
+    monkeypatch.setattr(simplicial, "_induces_cycle",
+                        lambda adj, mask: tested.append(mask) or induces_cycle(adj, mask))
+    assert next(find_induced_cycles(K)) == (1, 2, 3, 4)
+    assert tested == [15]
 
 
 def test_chordality_agrees_with_induced_cycle_scan_exhaustive():
     for n in range(1, 6):
         for K in all_flag_complexes(n):
             check = is_chordal(K)
-            holes = find_induced_cycles(K)
+            holes = list(find_induced_cycles(K))
             assert bool(check) == (not holes)
             if holes:
                 assert check.witness in holes
@@ -309,7 +320,7 @@ def test_chordality_agrees_on_random_graphs():
         for _ in range(200):
             chosen = [e for e in pairs if rng.random() < 0.45]
             K = clique_complex(n, chosen)
-            assert bool(is_chordal(K)) == (not find_induced_cycles(K))
+            assert bool(is_chordal(K)) == (not list(find_induced_cycles(K)))
 
 
 def _networkx_corpus(nx):
@@ -338,7 +349,7 @@ def test_graph_predicates_against_networkx():
         chordal = nx.is_chordal(G)
         check = is_chordal(K)
         assert bool(check) == chordal, K
-        holes = find_induced_cycles(K)
+        holes = list(find_induced_cycles(K))
         assert len(set(holes)) == len(holes)
         assert set(holes) == {tuple(sorted(c)) for c in nx.chordless_cycles(G) if len(c) >= 4}
         minimal = not chordal and all(nx.is_chordal(G.subgraph(set(G) - {v})) for v in G)

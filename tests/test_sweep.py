@@ -1,12 +1,13 @@
 import json
+import random
 from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
 
-from conftest import class_flag_complexes
+from conftest import class_flag_complexes, unpruned_canonical_form
 from macx import simplicial, sweep
-from macx.simplicial import CheckResult, classify_star_condition
+from macx.simplicial import CheckResult, bits, classify_star_condition
 from macx.sweep import SweepConfig, SweepReport, graph_classes, run_sweep
 
 A000088 = [1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668]  # graphs on n vertices
@@ -132,9 +133,119 @@ def test_report_json_shape():
 
 
 def test_class_counts_and_orbit_sizes():
-    for n, classes in enumerate(graph_classes(7), start=1):
+    for n, classes in enumerate(graph_classes(8), start=1):
         assert len(classes) == A000088[n]
         assert sum(factorial(n) // aut for aut in classes.values()) == 2 ** comb(n, 2)
+
+
+def _edge_set(n, mask):
+    return {frozenset(e) for i, e in enumerate(combinations(range(n), 2)) if mask >> i & 1}
+
+
+def _is_automorphism(edges, perm):
+    return all(frozenset(perm[v] for v in e) in edges for e in edges)
+
+
+def _group_order(n, generators):
+    """Order of the permutation group the generators generate, by closure."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        g = frontier.pop()
+        for h in generators:
+            gh = tuple(h[v] for v in g)
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return len(group)
+
+
+def _check_form(n, mask):
+    """Check _canonical_form on one labelled graph: its generators are
+    automorphisms of the certificate graph and, up to 7 vertices, the
+    certificate and |Aut G| are the unpruned search's and the generators
+    generate a group of order |Aut G|. Return the form."""
+    adj = sweep._adjacency(n, mask)
+    cert, aut, generators = sweep._canonical_form(adj)
+    edges = _edge_set(n, cert)
+    assert len(edges) == mask.bit_count()
+    for g in generators:
+        assert sorted(g) == list(range(n)) and _is_automorphism(edges, g), (n, mask, g)
+    if n <= 7:
+        assert (cert, aut) == unpruned_canonical_form(adj)
+        assert _group_order(n, generators) == aut
+    return cert, aut, generators
+
+
+def test_automorphism_counts_match_brute_force():
+    rng = random.Random(1998)
+    graphs = [(n, mask) for n in range(1, 6) for mask in range(1 << comb(n, 2))]
+    graphs += [(6, rng.getrandbits(15)) for _ in range(60)]
+    for n, mask in graphs:
+        _, aut, _ = _check_form(n, mask)
+        edges = _edge_set(n, mask)
+        assert aut == sum(_is_automorphism(edges, p) for p in permutations(range(n)))
+
+
+def test_certificate_is_invariant_under_relabelling():
+    rng = random.Random(2014)
+    for n in range(2, 10):
+        pairs = list(combinations(range(n), 2))
+        for density in (0.2, 0.5, 0.8):
+            mask = sum(1 << i for i in range(len(pairs)) if rng.random() < density)
+            form = _check_form(n, mask)
+            for _ in range(4):
+                perm = rng.sample(range(n), n)
+                moved = sum(1 << pairs.index(tuple(sorted((perm[u], perm[v]))))
+                            for u, v in (tuple(e) for e in _edge_set(n, mask)))
+                assert sweep._canonical_form(sweep._adjacency(n, moved))[:2] == form[:2]
+
+
+NINE_VERTEX_GRAPHS = {  # name: (adjacency rule on 0..8, |Aut G|)
+    "empty": (lambda u, v: False, factorial(9)),
+    "K9": (lambda u, v: True, factorial(9)),
+    "K3,3,3": (lambda u, v: u % 3 != v % 3, 1296),
+    "3K3": (lambda u, v: u // 3 == v // 3, 1296),
+    "C9": (lambda u, v: (v - u) % 9 in (1, 8), 18),
+    "rook 3x3": (lambda u, v: u // 3 == v // 3 or u % 3 == v % 3, 72),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NINE_VERTEX_GRAPHS))
+def test_symmetric_graphs_are_searched_in_few_refinements(monkeypatch, name):
+    # unpruned, the empty graph's tree has 9! leaves
+    rule, expected = NINE_VERTEX_GRAPHS[name]
+    calls = []
+    refine = sweep._refine
+
+    def counted(*args):
+        calls.append(1)
+        return refine(*args)
+
+    monkeypatch.setattr(sweep, "_refine", counted)
+    mask = sum(1 << i for i, (u, v) in enumerate(combinations(range(9), 2)) if rule(u, v))
+    _, aut, _ = _check_form(9, mask)
+    assert aut == expected and len(calls) < 1000
+
+
+def test_refinement_is_equitable_and_commutes_with_relabelling():
+    rng = random.Random(7)
+    for n in range(1, 10):
+        full = (1 << n) - 1
+        for _ in range(20):
+            mask = rng.getrandbits(comb(n, 2))
+            adj = sweep._adjacency(n, mask)
+            cells = sweep._refine(adj, [full], [full])
+            assert sum(cells) == full and all(c for c in cells)
+            for cell in cells:
+                for other in cells:
+                    assert len({(adj[v] & other).bit_count() for v in bits(cell)}) == 1
+            perm = rng.sample(range(n), n)
+            moved = [0] * n
+            for v in range(n):
+                moved[perm[v]] = sum(1 << perm[u] for u in bits(adj[v]))
+            image = [sum(1 << perm[v] for v in bits(c)) for c in cells]
+            assert sweep._refine(moved, [full], [full]) == image
 
 
 def _nx_graph(nx, n, mask):
