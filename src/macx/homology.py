@@ -12,14 +12,15 @@ bigraded table H_{-i,2j}(Z_K) of the moment-angle complex from H~_{j-i-1}(K_J)
 over subsets of size j. ``homology_R_and_Z`` returns both from a single walk
 over the subsets; callers that need both use it.
 
-The subset walk visits J in increasing order and computes H~(K_J) by Smith
-form only for cores. If some vertex v of K_J is dominated (every facet of K_J
-that contains v also contains some other vertex w), deleting v is a strong
+The subset walk visits J in increasing order and has one path for every
+complex. If some vertex v of K_J is dominated (every facet of K_J that
+contains v also contains some other vertex w), deleting v is a strong
 collapse, which keeps the homotopy type (Barmak and Minian, "Strong homotopy
 types, nerves and collapses", DCG 47, 2012), so H~(K_J) = H~(K_{J-v}) is read
-from the walk's own array. For a flag complex, K_J is determined by J and the
-edges of the induced subgraph, so the homology of its cores is memoized
-across walks under that key; sweeps over all graphs on a few vertices share
+from the walk's own array. Otherwise J is a core and H~(K_J) comes from Smith
+form. For a flag complex, K_J is determined by J and the edges of the induced
+subgraph, so the homology of its cores is memoized across walks under that
+key, built for a core only; sweeps over all graphs on a few vertices share
 most of their cores. The memo holds at most ``MEMO_LIMIT`` entries.
 
 A join is walked one factor at a time. If K = K_A * K_B (see
@@ -241,9 +242,10 @@ def sparse_rank_invariants(columns):
 
 
 # Core homologies of flag complexes shared across subset walks, keyed by the
-# vertex set and its induced edges (see ``_per_subset_groups``). It is emptied
-# when it reaches MEMO_LIMIT entries, more than the 84,203 keys that the cores
-# of all graphs on seven vertices take.
+# vertex set and its induced edges (see ``_core_key``). It is emptied when it
+# reaches MEMO_LIMIT entries. The sweeps store 121 cores at n <= 6, 771 at
+# n <= 7 and 11,442 for ``thm3`` at n <= 8; a ``thm3`` sweep to n = 9 fills
+# and empties it three times.
 MEMO_LIMIT = 1 << 17
 _MEMO = {}
 
@@ -397,11 +399,8 @@ def _per_subset_groups(K):
     may be missing from a tuple.
 
     Subsets are visited in increasing order, so J minus any vertex is done
-    before J. A memo hit (flag complexes only) is reused; else a dominated
-    vertex v gives H~(K_J) = H~(K_{J-v}); else J is a core and its faces go to
-    Smith form. The memo key is J together with the edge code of J, which is
-    that of J minus its top vertex t plus t's edges below it, at bits C(t, 2)
-    and up.
+    before J. A dominated vertex v gives H~(K_J) = H~(K_{J-v}); else J is a
+    core and its faces go to Smith form, through the memo for a flag complex.
     """
     table = _domination_table(K)
     memo = _MEMO if K.flag_check else None
@@ -411,26 +410,18 @@ def _per_subset_groups(K):
     distinct = []  # the group tuples met in this walk
     index = {}
     vals = [0] * (full + 1)  # per subset, its position in distinct
-    code = [0] * (full + 1) if memo is not None else None
     for J in range(1, full + 1):
-        if memo is not None:
-            t = J.bit_length() - 1
-            below = J ^ (1 << t)
-            c = code[J] = code[below] | (adj[t] & below) << (t * (t - 1) >> 1)
-            key = c << MAX_VERTICES | J
-            groups = memo.get(key)
-            if groups is not None:
-                vals[J] = _position(groups, distinct, index)
-                continue
         v = _dominated_bit(J, table)
         if v:
             vals[J] = vals[J ^ v]
             continue
-        groups = _reduced_groups_impl(tuple(f for f in faces if not f & ~J))
-        if memo is not None:
-            if len(memo) >= MEMO_LIMIT:
-                memo.clear()
-            memo[key] = groups
+        groups = memo.get(key := _core_key(J, adj)) if memo is not None else None
+        if groups is None:
+            groups = _reduced_groups_impl(tuple(f for f in faces if not f & ~J))
+            if memo is not None:
+                if len(memo) >= MEMO_LIMIT:
+                    memo.clear()
+                memo[key] = groups
         vals[J] = _position(groups, distinct, index)
     sizes = map(int.bit_count, range(1, full + 1))
     counts = Counter(zip(sizes, islice(vals, 1, None)))
@@ -439,6 +430,15 @@ def _per_subset_groups(K):
         for (size, i), n in counts.items()
         if any(not g.is_zero for g in distinct[i])
     }
+
+
+def _core_key(J, adj):
+    """The memo key of K_J in a flag complex: its edge code, with the edge
+    {s, t} (s < t) of K_J at bit C(t, 2) + s, shifted past J itself."""
+    code = 0
+    for t in bits(J):
+        code |= (adj[t] & J & ((1 << t) - 1)) << (t * (t - 1) >> 1)
+    return code << MAX_VERTICES | J
 
 
 def _subset_tally(K):

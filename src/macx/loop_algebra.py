@@ -11,6 +11,7 @@ multiplicities translates a p-cycle into such a connected sum.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 
@@ -163,7 +164,12 @@ def poincare_series_closed(M, n):
 def rank_oracle_monomials(M, n, special_pair=0):
     """Independent rank count: weighted words over the 2k-letter alphabet that
     avoid the factor a_1 b_1 (with the designated pair playing the role of
-    a_1, b_1), by dynamic programming on (degree, last letter).
+    a_1, b_1), by dynamic programming on the degree.
+
+    An admissible word of degree deg is one of degree deg - w followed by a
+    letter of weight w, unless it ends in a_1 b_1; so the DP keeps, per
+    degree, the number of admissible words and the number that end in a_1,
+    and counts the letters by weight.
 
     Any pair may be designated; the count must not depend on the choice.
     """
@@ -172,32 +178,22 @@ def rank_oracle_monomials(M, n, special_pair=0):
     if not 0 <= special_pair < M.k:
         raise ValueError(f"pair index {special_pair} out of range")
     _check_truncation(n)
-    weights = []
-    for di in M.pairs:
-        weights.append(di - 1)          # letter a_i
-        weights.append(M.d - di - 1)    # letter b_i
-    a1 = 2 * special_pair
-    b1 = a1 + 1
-    nletters = len(weights)
-    # ways[deg][last letter] = number of admissible words of that degree
-    ways = [[0] * nletters for _ in range(n + 1)]
+    letters = Counter()  # weight -> number of letters a_i, b_i of that weight
+    for di, times in Counter(M.pairs).items():
+        letters[di - 1] += times
+        letters[M.d - di - 1] += times
+    wa = M.pairs[special_pair] - 1
+    wb = M.d - M.pairs[special_pair] - 1
     counts = [0] * (n + 1)
+    ends_a1 = [0] * (n + 1)
     counts[0] = 1
     for deg in range(1, n + 1):
-        row = ways[deg]
-        for last in range(nletters):
-            w = weights[last]
-            if w > deg:
-                continue
-            if w == deg:
-                total = 1  # the single-letter word
-            else:
-                prev = ways[deg - w]
-                total = sum(prev)
-                if last == b1:
-                    total -= prev[a1]
-            row[last] = total
-        counts[deg] = sum(row)
+        total = sum(times * counts[deg - w] for w, times in letters.items() if w <= deg)
+        if wb <= deg:
+            total -= ends_a1[deg - wb]
+        counts[deg] = total
+        if wa <= deg:
+            ends_a1[deg] = counts[deg - wa]
     return GradedSeries(tuple(counts))
 
 

@@ -22,6 +22,9 @@ from functools import cached_property
 
 MAX_VERTICES = 24
 
+# Most faces clique_complex enumerates before it refuses the graph.
+MAX_CLIQUE_FACES = 1 << 20
+
 # Reason codes for a failed star-condition classification.
 REASON_NOT_FLAG = "not_flag"
 REASON_REMAINDER_NOT_CYCLE = "remainder_not_cycle"
@@ -340,7 +343,7 @@ def _clique_extensions(adj, cliques):
             yield f | 1 << v
 
 
-def clique_complex(vertices, edges, max_faces=1 << 20):
+def clique_complex(vertices, edges):
     """The flag complex of a graph: its faces are exactly the cliques.
 
     ``vertices`` is a count m (labels 1..m) or an iterable of labels, and
@@ -361,8 +364,8 @@ def clique_complex(vertices, edges, max_faces=1 << 20):
     level = [1 << i for i in range(len(labels))]
     while level:
         faces.update(level)
-        if len(faces) > max_faces:
-            raise ValueError(f"clique enumeration exceeds budget of {max_faces} faces")
+        if len(faces) > MAX_CLIQUE_FACES:
+            raise ValueError(f"clique enumeration exceeds budget of {MAX_CLIQUE_FACES} faces")
         level = list(_clique_extensions(adj, level))
     K = SimplicialComplex._from_faces(labels, faces)
     object.__setattr__(K, "flag_check", CheckResult(True))

@@ -19,6 +19,8 @@ DIGESTS = {
         "d0a82148907316a9a6a0ba7d8fdecf93b99cb321b274a2c37d51709777331290",
     ("verify-theorems", "--max-vertices", "6", "--iso-dedup", "--json"):
         "0d520013888948bfcba6dbc131e60ca6a6d37479b0d0c67a98af9241e4603ce0",
+    ("verify-theorems", "--max-vertices", "7", "--checks", "thm3", "thm5", "vanishing", "--json"):
+        "e6522491cbff7869ca4215b15edefaf1f4a06a056ad47d86d6ffddda7218d76f",
     ("analyze", "broken_cone.cx", "--json"):
         "6a409b34a73dfe5cb822eda3022c1ef320cbabcf6784e9ca1c16784013ffde45",
     ("analyze", "broken_cone.cx"):

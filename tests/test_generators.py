@@ -16,6 +16,7 @@ from conftest import (
     union_find_components,
     validate_word,
 )
+from macx import homology
 from macx.classify import surface_genus
 from macx.generators import ALGEBRA, GROUP, enumerate_generators, generator_count
 from macx.homology import homology_at, homology_R
@@ -198,3 +199,21 @@ def test_count_keeps_no_word_list():
     counted, count = peak(generator_count)
     assert count == gens.count == 2 * surface_genus(16)
     assert counted <= enumerated / 2
+
+
+def test_subset_walk_keeps_one_array(monkeypatch):
+    """The homology walk keeps one 2^m-entry list: its traced allocation peak
+    on a 16-cycle, with the memo cold and the complex's face and adjacency
+    tables built, stays under 2 MB (a second list of edge codes per subset
+    took it to about 4 MB)."""
+    monkeypatch.setattr(homology, "_MEMO", {})
+    K = cycle(16)
+    K.sorted_face_masks, K.adjacency, K.flag_check
+    tracemalloc.start()
+    try:
+        tally = homology._per_subset_groups(K)
+        walked = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(n for (size, _), n in tally.items() if size == 16) == 1
+    assert walked <= 2_000_000

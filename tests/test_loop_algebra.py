@@ -96,6 +96,16 @@ def test_monomial_oracle_agrees_with_closed_form():
             poincare_series_closed(M, n).coefficients
 
 
+def test_monomial_oracle_agrees_with_closed_form_on_a_long_cycle():
+    """The oracle's work grows with the truncation and the number of letter
+    weights, not with the 2k letters: a 16-cycle has 98,305 summands."""
+    M = mcgavran(16)
+    assert rank_oracle_monomials(M, 200).coefficients == \
+        poincare_series_closed(M, 200).coefficients
+    assert rank_oracle_monomials(M, 60, special_pair=M.k - 1).coefficients == \
+        poincare_series_closed(M, 60).coefficients
+
+
 def test_monomial_oracle_matches_brute_enumeration():
     for M, n in [(mcgavran(4), 10), (SphereProductSum(6, (2, 3)), 8)]:
         weights = []

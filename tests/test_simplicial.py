@@ -244,9 +244,12 @@ def test_facets_found_on_first_use(monkeypatch):
     assert same.facet_masks == K.facet_masks and calls == [5, 5]
 
 
-def test_clique_complex_budget():
-    with pytest.raises(ValueError):
-        clique_complex(5, combinations(range(1, 6), 2), max_faces=10)
+def test_clique_complex_budget(monkeypatch):
+    monkeypatch.setattr(simplicial, "MAX_CLIQUE_FACES", 10)
+    with pytest.raises(ValueError, match="exceeds budget of 10 faces"):
+        clique_complex(5, combinations(range(1, 6), 2))
+    assert len(clique_complex(3, [(1, 2)]).face_masks) == 5
+
 
 
 def test_flag_iff_clique_complex_of_skeleton():
