@@ -3,7 +3,9 @@
 Subcommands: analyze (full report for a complex file), generators, poincare,
 mcgavran, verify-theorems, yspace. Human-readable text by default, ``--json``
 for machine consumption (sorted keys, no timestamps, byte-stable for a fixed
-input). Exit codes: 0 success, 1 usage or parse error, 2 counterexample found
+input). Every ``--json`` report goes through one writer, ``_write_json``: the
+bytes of ``json.dumps(..., sort_keys=True, indent=2)`` and a newline, written
+in pieces. Exit codes: 0 success, 1 usage or parse error, 2 counterexample found
 (verify-theorems only). ``main`` is the one error boundary: any OSError or
 ValueError a command raises is printed as ``error: <message>`` with exit 1.
 
@@ -18,6 +20,10 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
+from functools import partial
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
 
 from . import classify, generators, homology, loop_algebra, simplicial, sweep
 from .simplicial import MAX_VERTICES, SimplicialComplex
@@ -74,6 +80,92 @@ def parse_complex(path):
             f"{path}: not valid UTF-8 (byte 0x{data[exc.start]:02x} at offset {exc.start})"
         ) from None
     return parse_complex_text(text)
+
+
+# Items of a long list per write: a block's text is a few hundred KB at most.
+_BLOCK = 2048
+# The C encoders json.dumps would reach for these types, without its call
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _write_json(value, write):
+    """Write ``json.dumps(value, sort_keys=True, indent=2)`` and a newline
+    through ``write``, neither the document nor the json module's chunk list
+    ever built whole (``indent`` sends ``json.dumps`` to its pure-Python
+    encoder, and the document of a large ``analyze`` is megabytes).
+
+    Lists of strings or of ints, and an iterator read as a list, go out in
+    blocks of ``_BLOCK`` items. All but the blocks of strings and of
+    iterators is rendered before the first write, so that what can raise,
+    such as an int past the digit limit, raises with nothing written. A
+    string always encodes; an iterator's items are rendered as they are
+    written and must not raise."""
+    parts = []
+    _json_parts(value, "\n", parts)
+    parts.append("\n")
+    for text in _texts(parts):
+        write(text)
+
+
+def _texts(parts):
+    for part in parts:
+        if isinstance(part, str):
+            yield part
+        else:
+            yield from part
+
+
+def _json_parts(value, newline, parts):
+    """Append to ``parts`` the text of ``value`` at the indentation of
+    ``newline`` (a newline and its pad): strings, and for a list of strings
+    or an iterator a generator of its blocks, not yet run."""
+    inner = newline + "  "
+    sep = "," + inner
+    if isinstance(value, dict) and value:
+        lead = "{" + inner
+        for key, item in sorted(value.items()):
+            parts.append(lead + encode_basestring_ascii(
+                key if isinstance(key, str) else json.dumps(key)) + ": ")
+            _json_parts(item, inner, parts)
+            lead = sep
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        # the blocks of ints are rendered now (a repr can raise), of strings when written
+        if all(type(item) is int for item in value):
+            parts += ["[" + inner, *_blocks(iter(value), int.__repr__, sep), newline + "]"]
+        elif all(isinstance(item, str) for item in value):
+            blocks = _blocks(iter(value), encode_basestring_ascii, sep)
+            parts += ["[" + inner, blocks, newline + "]"]
+        else:
+            lead = "[" + inner
+            for item in value:
+                parts.append(lead)
+                _json_parts(item, inner, parts)
+                lead = sep
+            parts.append(newline + "]")
+    elif isinstance(value, Iterator):
+        first = list(islice(value, 1))
+        if first:
+            blocks = _blocks(chain(first, value), partial(_json_text, newline=inner), sep)
+            parts += ["[" + inner, blocks, newline + "]"]
+        else:
+            parts.append("[]")
+    else:
+        parts.append(_SCALAR_TEXT.get(type(value), json.dumps)(value))
+
+
+def _json_text(value, newline):
+    parts = []
+    _json_parts(value, newline, parts)
+    return "".join(_texts(parts))
+
+
+def _blocks(items, encode, sep):
+    """The items of an iterator, each encoded, ``_BLOCK`` per text."""
+    lead = ""
+    while block := list(islice(items, _BLOCK)):
+        yield lead + sep.join(map(encode, block))
+        lead = sep
 
 
 def _group_json(g):
@@ -171,7 +263,7 @@ def cmd_analyze(args):
     name = os.path.splitext(os.path.basename(args.file))[0]
     data = analyze(parse_complex(args.file), name=name, truncate=args.truncate)
     if args.json:
-        print(json.dumps(data, sort_keys=True, indent=2))
+        _write_json(data, sys.stdout.write)
     else:
         _print_analysis(data)
     return 0
@@ -185,9 +277,9 @@ def cmd_generators(args):
             "count": gens.count,
             "kind": args.kind,
             "words": words,
-            "data": [{"prefix": list(prefix), "j": j, "i": i} for prefix, j, i in gens.words],
+            "data": ({"prefix": list(prefix), "j": j, "i": i} for prefix, j, i in gens.words),
         }
-        print(json.dumps(data, sort_keys=True, indent=2))
+        _write_json(data, sys.stdout.write)
     else:
         print("".join(f"{word}\n" for word in words) + f"count: {gens.count}")
     return 0
@@ -228,7 +320,7 @@ def cmd_poincare(args):
             "agree_through": overlap,
             "agree": agree,
         }
-        print(json.dumps(data, sort_keys=True, indent=2))
+        _write_json(data, sys.stdout.write)
     else:
         for label, r in rows:
             print(f"{label:>7}: {r}")
@@ -242,7 +334,7 @@ def cmd_mcgavran(args):
     if args.json:
         data = {"p": args.cycle, "d": M.d, "pairs": list(M.pairs),
                 "summands": M.k, "generators": 2 * M.k, "betti": M.betti()}
-        print(json.dumps(data, sort_keys=True, indent=2))
+        _write_json(data, sys.stdout.write)
         return 0
     counts = {}
     for k in M.pairs:
@@ -265,7 +357,7 @@ def cmd_verify(args):
     workers = sweep.workers_from_environment()
     report = sweep.run_sweep(cfg, workers)
     if args.json:
-        print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2))
+        _write_json(report.to_json_dict(), sys.stdout.write)
     else:
         print(f"complexes checked: {report.complexes_checked} "
               f"(n <= {cfg.max_vertices}, {'iso classes' if cfg.dedup_isomorphism else 'labelled'})")
@@ -283,7 +375,7 @@ def cmd_yspace(args):
     if args.json:
         data = {"l": args.generators, "word": str(word),
                 "homology": _homology_list_json(groups)}
-        print(json.dumps(data, sort_keys=True, indent=2))
+        _write_json(data, sys.stdout.write)
     else:
         print(f"one-relator 2-complex on {args.generators} circles, relator {word}")
         for k, g in enumerate(groups):

@@ -14,6 +14,8 @@ of the 2^(m-1) subsets S without the top vertex, so each J costs one pass
 over the components of K_{J-j}. That table is the walk's memory besides the
 words: one tuple per entry, about 90 bytes each, so 0.7 MB at m = 14, 24 MB
 at m = 19 and some 750 MB at m = 24, doubling with each further vertex.
+A J that meets two join factors of K gives a connected K_J, so a join is
+walked one factor at a time, with a table over that factor's vertices only.
 
 Each word is kept as one integer of position masks and rendered only when
 asked for, from per-label pieces "(g_<l>,"; the algebra word is the group
@@ -23,20 +25,21 @@ checked.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
-from .simplicial import bits
+from .simplicial import bits, join_factors
 
 GROUP = "group"
 ALGEBRA = "algebra"
 
-# Most generator words ``enumerate_generators`` lists. ``analyze`` peaks at
-# about 0.7 KB of memory per word (619 MB for the 917,506 words of the
-# 18-cycle): the bound keeps the 4,194,306 words of the 20-cycle and caps
-# that peak near 6 GB.
+# Most generator words ``enumerate_generators`` lists. ``analyze --json``
+# peaks at about 0.34 KB of memory per word (330 MB for the 917,506 words of
+# the 18-cycle): the bound keeps the 4,194,306 words of the 20-cycle and caps
+# that peak near 3 GB.
 MAX_WORDS = 1 << 23
 
 _TO_ALGEBRA = str.maketrans("()g", "[]u")
@@ -83,7 +86,8 @@ class GeneratorSet:
         # has |prefix| + 2 bits set.
         labels, m = self.labels, len(self.labels)
         half = m // 2
-        low, high = (_concatenations(map(_piece, part)) for part in (labels[:half], labels[half:]))
+        low, high = (_subset_sums(map(_piece, part), "")
+                     for part in (labels[:half], labels[half:]))
         inner = {1 << i | 1 << j: f"{_piece(labels[j])}g_{labels[i]})"
                  for j in range(m) for i in range(j)}
         closers = ["", ""] + [")" * n for n in range(m - 1)]
@@ -110,21 +114,42 @@ class _WordView(Sequence):
                 labels[pair.bit_length() - 1], labels[(pair & -pair).bit_length() - 1])
 
 
-def _concatenations(pieces):
-    """For every mask S over the pieces, their concatenation in bit order."""
-    out = [""]
+def _subset_sums(pieces, empty):
+    """For every mask S over the pieces, the sum of its pieces in bit order
+    (``empty`` for none): for strings their concatenation, for distinct bits
+    their union."""
+    out = [empty]
     for piece in pieces:
         out += [s + piece for s in out]
     return out
 
 
 def _word_codes(K):
-    """The codes of all generator words, J ascending, then i ascending, lazily."""
-    m = K.m
-    table = [()]  # table[S]: components of K_S by lowest bit, S without the top vertex
-    for j, adj in enumerate(K.adjacency):
-        bit = 1 << j
-        for rest in range(bit):
+    """The codes of all generator words, J ascending, then i ascending, lazily.
+
+    A J that meets two join factors (``simplicial.join_factors``) gives a
+    connected K_J and no word, so each factor of two or more vertices is
+    walked on its own and the walks are merged by J."""
+    m, pair_bits = K.m, (1 << K.m) - 1
+    walks = [_factor_codes(K.adjacency, list(bits(mask)), m)
+             for mask in join_factors(K) if mask & mask - 1]
+    if len(walks) == 1:
+        return walks[0]
+    return heapq.merge(*walks, key=lambda code: code >> m | code & pair_bits)
+
+
+def _factor_codes(adjacency, positions, m):
+    """The codes of the words whose J lies in the vertex positions
+    ``positions`` (ascending) of a complex on m vertices with neighbour masks
+    ``adjacency``, from one walk over the subsets of those positions."""
+    top = positions[-1]
+    # spread[S]: the position mask of S, a subset of all but the top position
+    spread = (range(1 << top) if top == len(positions) - 1
+              else _subset_sums([1 << p for p in positions[:-1]], 0))
+    table = [()]  # table[S]: components of K_S by lowest bit, S as in spread
+    for r, j in enumerate(positions):
+        adj, bit = adjacency[j], 1 << j
+        for rest, prefix in enumerate(islice(spread, 1 << r)):
             merged, at, comps = bit, m, []
             for comp in table[rest]:
                 if comp & adj:
@@ -134,8 +159,8 @@ def _word_codes(K):
                 else:
                     comps.append(comp)
                     low = comp & -comp
-                    yield (rest ^ low) << m | low | bit
-            if j < m - 1:
+                    yield (prefix ^ low) << m | low | bit
+            if j < top:
                 comps.insert(at, merged)  # at == m appends: j alone comes last
                 table.append(tuple(comps))
 

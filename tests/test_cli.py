@@ -1,8 +1,12 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import cycle
 from macx import cli, generators, homology, loop_algebra, simplicial
 from macx.cli import ComplexParseError, main, parse_complex_text
 from macx.simplicial import CheckResult
@@ -433,3 +437,72 @@ def test_usage_errors_exit_one():
     assert main(["bogus-command"]) == 1
     assert main(["poincare"]) == 1          # missing required group
     assert main([]) == 1
+
+
+# -- the JSON writer -----------------------------------------------------------
+
+ODD_TEXT = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\n\t", "\u00e9\u2028", "\U0001f600",
+                                        "\ud800", "a\"b\\c"])
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | ODD_TEXT | st.floats()
+                | st.integers(-10 ** 400, 10 ** 400))
+
+
+def json_containers(children):
+    return (st.lists(children) | st.lists(children).map(tuple)
+            | st.dictionaries(ODD_TEXT, children) | st.dictionaries(st.integers(), children)
+            | st.lists(ODD_TEXT) | st.lists(st.integers() | st.booleans()))
+
+
+def written(value):
+    out = []
+    cli._write_json(value, out.append)
+    return "".join(out)
+
+
+def lists_as_iterators(value):
+    if isinstance(value, (list, tuple)):
+        return iter([lists_as_iterators(item) for item in value])
+    if isinstance(value, dict):
+        return {key: lists_as_iterators(item) for key, item in value.items()}
+    return value
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.recursive(JSON_SCALARS, json_containers, max_leaves=40))
+def test_json_writer_matches_json_dumps(value):
+    """The writer's bytes are json.dumps(sort_keys=True, indent=2) and a
+    newline, with every list also given as an iterator."""
+    expected = json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert written(value) == expected
+    assert written(lists_as_iterators(value)) == expected
+
+
+def test_json_writer_blocks_and_failures():
+    """Lists longer than a block, as lists and as iterators; and a value that
+    cannot be written raises with nothing written, though a list of strings
+    comes before it."""
+    n = 2 * cli._BLOCK + 1
+    value = {"s": [f"w{k}\\" for k in range(n)], "d": [{"k": [k, -k]} for k in range(n)]}
+    expected = json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert written(value) == expected
+    assert written({"s": iter(value["s"]), "d": iter(value["d"])}) == expected
+    for bad in (10 ** 5000, [1, 10 ** 5000], [True, 10 ** 5000], object()):
+        out = []
+        with pytest.raises((TypeError, ValueError)):
+            cli._write_json({"a": ["x"] * n, "b": bad}, out.append)
+        assert out == []
+
+
+def test_json_writer_peaks_under_the_document():
+    """Writing the ``analyze`` payload of a 14-cycle (81,924 words) to a sink
+    that keeps nothing peaks, under tracemalloc, at a small part of the
+    document's length: json.dumps(indent=2) peaks above it."""
+    data = cli.analyze(cycle(14))
+    length = len(json.dumps(data, sort_keys=True, indent=2))
+    tracemalloc.start()
+    try:
+        cli._write_json(data, lambda text: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= length / 4

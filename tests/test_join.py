@@ -1,6 +1,6 @@
-"""The join split of the subset walk: ``join_factors`` against face counts,
-the Milnor join arithmetic, and the factored R and Z tables against the walk
-over the whole complex."""
+"""The join split of the subset walks: ``join_factors`` against face counts,
+the Milnor join arithmetic, and the factored R and Z tables and generator
+word codes against the walks over the whole complex."""
 
 import sys
 from itertools import combinations
@@ -16,7 +16,7 @@ from conftest import (
     projective_plane,
     square_broken_cone,
 )
-from macx import homology
+from macx import generators, homology
 from macx.homology import HomologyGroup, homology_R_and_Z, reduced_homology
 from macx.simplicial import (
     SimplicialComplex,
@@ -64,6 +64,8 @@ def unfactored(K):
 def assert_matches_unfactored(K):
     groups, table = homology_R_and_Z(K)
     assert (groups, table.entries) == unfactored(K), K
+    unsplit = generators._factor_codes(K.adjacency, list(range(K.m)), K.m) if K.m else []
+    assert list(generators._word_codes(K)) == list(unsplit), K
 
 
 # -- join_factors ---------------------------------------------------------------
@@ -249,6 +251,29 @@ def subsets_walked(monkeypatch, K):
     homology_R_and_Z(K)
     monkeypatch.undo()
     return sum(walked)
+
+
+def test_generator_walk_count_is_the_sum_over_join_factors(monkeypatch):
+    """The generator walk visits the subsets of each join factor of two or
+    more vertices, not the 2^m - 1 of the whole join."""
+    walk = generators._factor_codes
+
+    def walked(K):
+        counts = []
+
+        def wrapper(adjacency, positions, m):
+            counts.append((1 << len(positions)) - 1)
+            return walk(adjacency, positions, m)
+
+        monkeypatch.setattr(generators, "_factor_codes", wrapper)
+        words = generators.generator_count(K)
+        monkeypatch.undo()
+        return sum(counts), words
+
+    assert walked(joined(cycle(13), point())) == (2 ** 13 - 1, 18434)
+    assert walked(cross_polytope(6)) == (6 * 3, 6)
+    assert walked(joined(projective_plane(), cycle(6))) == (2 * (2 ** 6 - 1), 34)
+    assert walked(cycle(7)) == (2 ** 7 - 1, 98)
 
 
 def test_walk_count_is_the_sum_over_join_factors(monkeypatch):
