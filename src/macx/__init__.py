@@ -9,12 +9,10 @@ from .simplicial import (
     classify_star_condition,
     clique_complex,
     find_induced_cycles,
-    full_subcomplex,
     is_chordal,
     is_cycle,
     is_flag,
     is_minimally_non_chordal,
-    join,
     join_factors,
 )
 from .homology import (
@@ -30,7 +28,6 @@ from .classify import (
     NonFlagError,
     RelatorWord,
     build_report,
-    is_free_commutator_group,
     minimally_non_golod_flag,
     one_relator_algebra_homological,
     one_relator_group_homological,

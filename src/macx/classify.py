@@ -36,14 +36,6 @@ def _require_flag(K):
         raise NonFlagError(f"complex is not flag; missing face {check.witness}")
 
 
-def is_free_commutator_group(K):
-    """Whether the commutator subgroup of the associated right-angled Coxeter
-    group is free: for flag K this is chordality of the 1-skeleton, which is
-    also Golodness of K."""
-    _require_flag(K)
-    return bool(simplicial.is_chordal(K))
-
-
 def one_relator_group_homological(K, groups):
     """Homological route: H_2(R_K), read from ``groups`` = H_*(R_K), is
     exactly Z (rank one, no torsion)."""

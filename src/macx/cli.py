@@ -183,10 +183,12 @@ def _bigraded_json(table):
 def analyze(K, name="complex", truncate=12):
     """Assemble the full analysis payload for one complex (plain data).
 
-    A cycle too long for its sphere-product decomposition, or a truncation
-    past ``loop_algebra.MAX_TRUNCATION``, is refused (ValueError) before any
-    walk over the vertex subsets; more than ``generators.MAX_WORDS``
-    generator words, counted as rank H_1(R_K), before any word is listed."""
+    A truncation below 0 or past ``loop_algebra.MAX_TRUNCATION``, whatever
+    the complex, or a cycle too long for its sphere-product decomposition,
+    is refused (ValueError) before any walk over the vertex subsets; more
+    than ``generators.MAX_WORDS`` generator words, counted as rank H_1(R_K),
+    before any word is listed."""
+    loop_algebra.check_truncation(truncate)
     star = simplicial.classify_star_condition(K)
     M = loop_algebra.mcgavran(star.p) if star else None
     series = loop_algebra.poincare_series_closed(M, truncate) if M else None
@@ -258,8 +260,6 @@ def _print_analysis(data):
 
 
 def cmd_analyze(args):
-    if args.truncate < 0:
-        raise ValueError("--truncate must be nonnegative")
     name = os.path.splitext(os.path.basename(args.file))[0]
     data = analyze(parse_complex(args.file), name=name, truncate=args.truncate)
     if args.json:

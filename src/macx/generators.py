@@ -18,9 +18,9 @@ A J that meets two join factors of K gives a connected K_J, so a join is
 walked one factor at a time, with a table over that factor's vertices only.
 
 Each word is kept as one integer of position masks and rendered only when
-asked for, from per-label pieces "(g_<l>,"; the algebra word is the group
-word with "()g" read as "[]u". No group or algebra element equality is ever
-checked.
+asked for, in either notation from its own opener and closer: the group word
+(g_a,(g_b,g_c)) is the algebra word [u_a,[u_b,u_c]]. No group or algebra
+element equality is ever checked.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from __future__ import annotations
 import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 
-from .simplicial import bits, join_factors
+from .simplicial import bits, join_factors, subset_sums
 
 GROUP = "group"
 ALGEBRA = "algebra"
@@ -42,11 +41,9 @@ ALGEBRA = "algebra"
 # that peak near 3 GB.
 MAX_WORDS = 1 << 23
 
-_TO_ALGEBRA = str.maketrans("()g", "[]u")
-
-
-def _piece(label):
-    return f"(g_{label},"
+# Per notation, the text that opens a commutator, up to its first label, and
+# the text that closes it.
+_NOTATION = {GROUP: ("(g_", ")"), ALGEBRA: ("[u_", "]")}
 
 
 @dataclass(frozen=True)
@@ -69,31 +66,24 @@ class GeneratorSet:
         return _WordView(self)
 
     def rendered(self, kind=GROUP):
-        """Every word as text, as group or as algebra commutators; the two
-        kinds differ only in notation."""
-        if kind not in (GROUP, ALGEBRA):
-            raise ValueError(f"unknown word kind {kind!r}")
-        text = self._group_text
-        if kind == GROUP or not text:
-            return list(text)
-        # one translate over all the words, which hold no newline
-        return "\n".join(text).translate(_TO_ALGEBRA).split("\n")
+        """Every word as text, as group or as algebra commutators.
 
-    @cached_property
-    def _group_text(self):
-        # A prefix's text is that of its low half followed by that of its
-        # high half, each read from a table of 2^(m/2) concatenations; a code
-        # has |prefix| + 2 bits set.
+        A prefix's text is that of its low half followed by that of its high
+        half, each read from a table of 2^(m/2) concatenations; a code has
+        |prefix| + 2 bits set."""
+        if kind not in _NOTATION:
+            raise ValueError(f"unknown word kind {kind!r}")
+        opener, closer = _NOTATION[kind]
         labels, m = self.labels, len(self.labels)
         half = m // 2
-        low, high = (_subset_sums(map(_piece, part), "")
+        low, high = (subset_sums([f"{opener}{label}," for label in part], "")
                      for part in (labels[:half], labels[half:]))
-        inner = {1 << i | 1 << j: f"{_piece(labels[j])}g_{labels[i]})"
+        inner = {1 << i | 1 << j: f"{opener}{labels[j]},{opener[1:]}{labels[i]}{closer}"
                  for j in range(m) for i in range(j)}
-        closers = ["", ""] + [")" * n for n in range(m - 1)]
+        closers = ["", ""] + [closer * n for n in range(m - 1)]
         low_bits, pair_bits = (1 << half) - 1, (1 << m) - 1
-        return tuple(low[c >> m & low_bits] + high[c >> m + half] + inner[c & pair_bits]
-                     + closers[c.bit_count()] for c in self.codes)
+        return [low[c >> m & low_bits] + high[c >> m + half] + inner[c & pair_bits]
+                + closers[c.bit_count()] for c in self.codes]
 
 
 class _WordView(Sequence):
@@ -112,16 +102,6 @@ class _WordView(Sequence):
         pair = code & ((1 << m) - 1)
         return (tuple(labels[k] for k in bits(code >> m)),
                 labels[pair.bit_length() - 1], labels[(pair & -pair).bit_length() - 1])
-
-
-def _subset_sums(pieces, empty):
-    """For every mask S over the pieces, the sum of its pieces in bit order
-    (``empty`` for none): for strings their concatenation, for distinct bits
-    their union."""
-    out = [empty]
-    for piece in pieces:
-        out += [s + piece for s in out]
-    return out
 
 
 def _word_codes(K):
@@ -145,7 +125,7 @@ def _factor_codes(adjacency, positions, m):
     top = positions[-1]
     # spread[S]: the position mask of S, a subset of all but the top position
     spread = (range(1 << top) if top == len(positions) - 1
-              else _subset_sums([1 << p for p in positions[:-1]], 0))
+              else subset_sums([1 << p for p in positions[:-1]], 0))
     table = [()]  # table[S]: components of K_S by lowest bit, S as in spread
     for r, j in enumerate(positions):
         adj, bit = adjacency[j], 1 << j

@@ -28,7 +28,8 @@ MAX_SUMMANDS = 1 << 22
 MAX_TRUNCATION = 1000
 
 
-def _check_truncation(n):
+def check_truncation(n):
+    """Refuse (ValueError) a truncation degree below 0 or past MAX_TRUNCATION."""
     if n < 0:
         raise ValueError("truncation must be nonnegative")
     if n > MAX_TRUNCATION:
@@ -157,7 +158,7 @@ def poincare_series_closed(M, n):
     truncated at degree n."""
     if M.k == 0:
         raise ValueError("need at least one sphere-product summand")
-    _check_truncation(n)
+    check_truncation(n)
     return quotient_series(M.generator_degrees(), M.d - 2, n)
 
 
@@ -177,7 +178,7 @@ def rank_oracle_monomials(M, n, special_pair=0):
         raise ValueError("need at least one sphere-product summand")
     if not 0 <= special_pair < M.k:
         raise ValueError(f"pair index {special_pair} out of range")
-    _check_truncation(n)
+    check_truncation(n)
     letters = Counter()  # weight -> number of letters a_i, b_i of that weight
     for di, times in Counter(M.pairs).items():
         letters[di - 1] += times
@@ -359,7 +360,7 @@ class DGAHomology:
 def dga_homology_ranks(A, n):
     """Homology of the dg algebra through degree n, one integer Smith normal
     form per degree over the monomial basis."""
-    _check_truncation(n)
+    check_truncation(n)
     rank_d = [0] * (n + 2)
     torsions = [()] * (n + 2)
     dims = [len(A.basis(k)) for k in range(n + 2)]

@@ -270,29 +270,6 @@ def _maximal_masks(faces, m):
 # -- operations -----------------------------------------------------------
 
 
-def full_subcomplex(K, subset):
-    """The full subcomplex K_J: all faces of K contained in the vertex set J."""
-    return K.induced(K.mask_of(subset))
-
-
-def join(K, L):
-    """Join of two complexes on disjoint vertex sets.
-
-    Faces are all unions of a face of K and a face of L. The result is
-    relabelled to consecutive integers 1..(mK+mL), K's vertices first.
-    """
-    if set(K.labels) & set(L.labels):
-        raise ValueError("join requires disjoint vertex sets")
-    total = K.m + L.m
-    if total > MAX_VERTICES:
-        raise ValueError(f"join would exceed {MAX_VERTICES} vertices")
-    faces = set()
-    for f in K.face_masks:
-        for g in L.face_masks:
-            faces.add(f | (g << K.m))
-    return SimplicialComplex._from_faces(range(1, total + 1), faces)
-
-
 def join_factors(K):
     """Vertex masks of the finest join decomposition K = K_A1 * ... * K_Ar,
     ordered by lowest bit; a complex on no vertices has none.
@@ -311,18 +288,32 @@ def join_factors(K):
             if n not in faces and all(n ^ 1 << u in faces for u in bits(n)):
                 for v in bits(n):
                     apart[v] |= n
-    factors = []
-    while full:
-        comp = frontier = full & -full
+    return tuple(components(apart, full))
+
+
+def components(adj, mask):
+    """Yield the components of the graph with neighbour masks ``adj`` induced
+    on the vertex mask ``mask``, as vertex masks, by lowest bit."""
+    while mask:
+        comp = frontier = mask & -mask
         while frontier:
             reach = 0
             for v in bits(frontier):
-                reach |= apart[v]
-            frontier = reach & ~comp
+                reach |= adj[v]
+            frontier = reach & mask & ~comp
             comp |= frontier
-        factors.append(comp)
-        full ^= comp
-    return tuple(factors)
+        yield comp
+        mask ^= comp
+
+
+def subset_sums(pieces, empty):
+    """For every mask S over the pieces, the sum of its pieces in bit order
+    (``empty`` for none): for strings their concatenation, for distinct bits
+    their union."""
+    out = [empty]
+    for piece in pieces:
+        out += [s + piece for s in out]
+    return out
 
 
 def is_flag(K):
@@ -487,16 +478,7 @@ def _induces_cycle(adj, mask):
         if (adj[i] & mask).bit_count() != 2:
             return False
     # 2-regular and connected means a single cycle
-    start = mask & -mask
-    comp = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        for i in bits(frontier):
-            nxt |= adj[i]
-        frontier = nxt & mask & ~comp
-        comp |= frontier
-    return comp == mask
+    return next(components(adj, mask)) == mask
 
 
 def is_cycle(K):

@@ -24,7 +24,7 @@ from math import factorial
 
 from . import classify, homology, simplicial
 from .homology import homology_at
-from .simplicial import bits
+from .simplicial import bits, subset_sums
 
 CHECK_GROUP = "thm3"          # H_2(R_K) = Z  <=>  cycle-join condition
 CHECK_ALGEBRA = "thm5"        # bigraded row condition  <=>  cycle-join condition
@@ -236,7 +236,7 @@ def graph_classes(max_n):
             adj = _adjacency(n - 1, mask)
             least = min(a.bit_count() for a in adj)
             lowest = sum(1 << i for i, a in enumerate(adj) if a.bit_count() == least)
-            images = [_subset_images(g) for g in generators]
+            images = [subset_sums([1 << p for p in g], 0) for g in generators]
             tried = bytearray(1 << (n - 1))
             for S in range(1 << (n - 1)):
                 if tried[S] or S.bit_count() > least + (not lowest & ~S):
@@ -254,16 +254,6 @@ def graph_classes(max_n):
                     found_symmetries[cert] = cert_generators
         level, symmetries = found, found_symmetries
         yield level
-
-
-def _subset_images(perm):
-    """The image of every vertex subset under the vertex permutation perm,
-    indexed by subset mask."""
-    image = [0] * (1 << len(perm))
-    for S in range(1, len(image)):
-        low = S & -S
-        image[S] = image[S ^ low] | 1 << perm[low.bit_length() - 1]
-    return image
 
 
 def _adjacency(n, mask):

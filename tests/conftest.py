@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from macx import sweep
-from macx.simplicial import SimplicialComplex, bits, clique_complex
+from macx.simplicial import MAX_VERTICES, SimplicialComplex, bits, clique_complex
 from macx.sweep import graph_classes
 
 
@@ -30,6 +30,21 @@ def cycle(p, labels=None):
 def simplex(q):
     """The full q-simplex on vertices 1..q+1."""
     return SimplicialComplex.from_facets([list(range(1, q + 2))], q + 1)
+
+
+def join(K, L):
+    """Join of two complexes on disjoint vertex sets.
+
+    Faces are all unions of a face of K and a face of L. The result is
+    relabelled to consecutive integers 1..(mK+mL), K's vertices first.
+    """
+    if set(K.labels) & set(L.labels):
+        raise ValueError("join requires disjoint vertex sets")
+    total = K.m + L.m
+    if total > MAX_VERTICES:
+        raise ValueError(f"join would exceed {MAX_VERTICES} vertices")
+    faces = frozenset(f | (g << K.m) for f in K.face_masks for g in L.face_masks)
+    return SimplicialComplex(tuple(range(1, total + 1)), faces)
 
 
 def square_partial_cone():

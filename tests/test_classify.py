@@ -6,6 +6,7 @@ from conftest import (
     IntMatrix,
     all_flag_complexes,
     cycle,
+    join,
     simplex,
     smith_normal_form,
     square_broken_cone,
@@ -17,7 +18,6 @@ from macx.classify import (
     NonFlagError,
     RelatorWord,
     build_report,
-    is_free_commutator_group,
     minimally_non_golod_flag,
     one_relator_algebra_homological,
     one_relator_group_homological,
@@ -29,10 +29,8 @@ from macx.homology import BigradedTable, HomologyGroup, homology_R, homology_R_a
 from macx.simplicial import (
     SimplicialComplex,
     clique_complex,
-    full_subcomplex,
     is_chordal,
     classify_star_condition,
-    join,
 )
 
 Z = HomologyGroup(1)
@@ -50,9 +48,10 @@ def cone_join(p, q):
 
 
 def test_free_commutator_group():
-    assert is_free_commutator_group(tree_complex())
-    assert not is_free_commutator_group(cycle(4))
-    assert not is_free_commutator_group(square_cone())
+    # for flag K the commutator subgroup is free exactly when K is chordal
+    assert is_chordal(tree_complex())
+    assert not is_chordal(cycle(4))
+    assert not is_chordal(square_cone())
 
 
 def test_one_relator_group_routes():
@@ -76,7 +75,6 @@ def test_classifiers_reject_non_flag():
     bad = square_broken_cone()
     groups, table = homology_R_and_Z(bad)
     for call in [
-        lambda: is_free_commutator_group(bad),
         lambda: one_relator_group_homological(bad, groups),
         lambda: one_relator_algebra_homological(bad, table),
         lambda: minimally_non_golod_flag(bad),
@@ -97,15 +95,15 @@ def test_vanishing_check():
 def test_golod_and_minimally_non_golod():
     # Golodness of a flag complex is freeness of the commutator subgroup
     for p in range(4, 8):
-        assert not is_free_commutator_group(cycle(p))
+        assert not is_chordal(cycle(p))
         assert minimally_non_golod_flag(cycle(p))
-    assert not is_free_commutator_group(square_partial_cone())
+    assert not is_chordal(square_partial_cone())
     # deleting vertex 5 of the partial cone leaves a chordless square
     assert not minimally_non_golod_flag(square_partial_cone())
     # a cone over a cycle is one-relator but not minimally non-Golod itself
     assert classify_star_condition(square_cone())
     assert not minimally_non_golod_flag(square_cone())
-    assert is_free_commutator_group(tree_complex())
+    assert is_chordal(tree_complex())
     assert not minimally_non_golod_flag(tree_complex())
 
 
@@ -115,7 +113,7 @@ def test_minimally_non_golod_matches_vertex_deletion_exhaustive():
         if is_chordal(K):
             return False
         return all(
-            is_chordal(full_subcomplex(K, [u for u in K.labels if u != v]))
+            is_chordal(K.induced(K.mask_of([u for u in K.labels if u != v])))
             for v in K.labels
         )
 
@@ -219,7 +217,7 @@ def test_build_report_consistency_invariants():
     for K in [cycle(5), square_cone(), square_partial_cone(), simplex(2), tree_complex()]:
         report = build_report(K, *homology_R_and_Z(K))
         assert report["free_group"] == report["golod"] == report["chordal"]
-        assert report["free_group"] == is_free_commutator_group(K)
+        assert report["free_group"] == bool(is_chordal(K))
         if report["one_relator_group"]:
             assert not report["free_group"]
         assert report["one_relator_group"] == report["one_relator_algebra"]

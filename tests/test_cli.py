@@ -376,11 +376,14 @@ MANY_TWOS = "4:" + ",".join(["2"] * 30_000)   # coefficients past 4,300 digits a
     ["yspace", "-l", "2", "--word", ""],
     ["generators", "{c8}"],                             # 258 words, bound patched to 257
     ["generators", "{c8}", "--json"],
+    ["analyze", "{pcone}", "--truncate", "20000"],     # not a cycle join
+    ["analyze", "{pcone}", "--truncate", "-1", "--json"],
 ])
 def test_every_failure_is_one_error_line(monkeypatch, tmp_path, capsys, argv):
     """Bad input and over-limit requests end in ``error: ...`` and exit 1 at
     the one boundary in ``main``, never in a traceback."""
-    files = {"c8": EIGHT_CYCLE.encode(), "bad": b"vertices 3\nfacet 1 7\n",
+    files = {"c8": EIGHT_CYCLE.encode(), "pcone": PARTIAL_CONE.encode(),
+             "bad": b"vertices 3\nfacet 1 7\n",
              "latin1": b"vertices 3\nfacet 1 2 \xff\n"}
     paths = {name: str(tmp_path / f"{name}.cx") for name in [*files, "missing"]}
     for name, data in files.items():

@@ -9,6 +9,7 @@ from conftest import (
     boundary_matrix,
     cycle,
     euler_characteristic_real,
+    join,
     projective_plane,
     rank_mod_p,
     rank_over_q,
@@ -31,8 +32,6 @@ from macx.simplicial import (
     SimplicialComplex,
     bits,
     clique_complex,
-    full_subcomplex,
-    join,
 )
 
 Z = HomologyGroup(1)
@@ -370,7 +369,7 @@ def test_homology_R_rank2_counts_induced_cycles_with_multiplicity():
             from itertools import combinations
 
             for sub in combinations(K.labels, size):
-                groups = reduced_homology(full_subcomplex(K, sub))
+                groups = reduced_homology(K.induced(K.mask_of(sub)))
                 if len(groups) > 1:
                     total += groups[1].free_rank
         assert homology_R(K)[2].free_rank == total
@@ -511,7 +510,7 @@ def _tables_by_full_subcomplexes(K):
     by_bidegree = {(0, 0): [Z]}
     for j in range(1, K.m + 1):
         for sub in combinations(K.labels, j):
-            for deg, g in enumerate(reduced_homology(full_subcomplex(K, sub))):
+            for deg, g in enumerate(reduced_homology(K.induced(K.mask_of(sub)))):
                 if g.is_zero:
                     continue
                 by_degree[deg + 1].append(g)

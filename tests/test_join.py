@@ -13,6 +13,7 @@ from conftest import (
     all_flag_complexes,
     class_flag_complexes,
     cycle,
+    join,
     projective_plane,
     square_broken_cone,
 )
@@ -22,7 +23,6 @@ from macx.simplicial import (
     SimplicialComplex,
     classify_star_condition,
     clique_complex,
-    join,
     join_factors,
 )
 

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -7,25 +7,28 @@ from conftest import (
     all_flag_complexes,
     brute_missing_faces,
     cycle,
+    join,
     projective_plane,
     simplex,
     square_broken_cone,
     square_cone,
     square_partial_cone,
+    union_find_components,
 )
 from macx import simplicial
 from macx.simplicial import (
     SimplicialComplex,
+    bits,
     classify_star_condition,
     clique_complex,
+    components,
     find_induced_cycles,
-    full_subcomplex,
     is_chordal,
     is_cycle,
     is_flag,
     is_minimally_non_chordal,
-    join,
     join_factors,
+    subset_sums,
 )
 
 
@@ -84,7 +87,7 @@ def test_singletons_always_present():
 
 def test_full_subcomplex_partial_cone():
     K = square_partial_cone()
-    sub = full_subcomplex(K, [2, 4, 5])
+    sub = K.induced(K.mask_of([2, 4, 5]))
     assert sub.labels == (2, 4, 5)
     assert faces_as_sets(sub) == {
         frozenset(),
@@ -97,17 +100,18 @@ def test_full_subcomplex_partial_cone():
 
 def test_full_subcomplex_identity():
     K = square_partial_cone()
-    assert full_subcomplex(K, K.labels) == K
+    assert K.induced(K.mask_of(K.labels)) == K
 
 
 def test_full_subcomplex_no_edge():
-    sub = full_subcomplex(cycle(5), [1, 3])
+    K = cycle(5)
+    sub = K.induced(K.mask_of([1, 3]))
     assert faces_as_sets(sub) == {frozenset(), frozenset({1}), frozenset({3})}
 
 
 def test_full_subcomplex_requires_subset():
     with pytest.raises(ValueError):
-        full_subcomplex(cycle(4), [1, 9])
+        cycle(4).mask_of([1, 9])
 
 
 def test_full_subcomplex_is_face_filtering():
@@ -118,19 +122,23 @@ def test_full_subcomplex_is_face_filtering():
         for size in range(K.m + 1):
             for sub in combinations(K.labels, size):
                 expected = {f for f in faces_as_sets(K) if f <= set(sub)}
-                assert faces_as_sets(full_subcomplex(K, sub)) == expected
+                assert faces_as_sets(K.induced(K.mask_of(sub))) == expected
 
 
 def test_induced_subgraph_is_skeleton_of_full_subcomplex_exhaustive():
     # the full subcomplex of a flag complex is the clique complex of the
-    # induced subgraph, with the same adjacency
+    # induced subgraph, with the same adjacency; its components, lowest
+    # vertex first, are those union-find gives
     for n in range(1, 6):
         for K in all_flag_complexes(n):
             for mask in range(1 << n):
                 J = set(K.labels_of(mask))
-                expected = clique_complex(sorted(J), [e for e in edges(K) if set(e) <= J])
-                sub = full_subcomplex(K, sorted(J))
+                inside = [e for e in edges(K) if set(e) <= J]
+                expected = clique_complex(sorted(J), inside)
+                sub = K.induced(mask)
                 assert sub == expected and sub.adjacency == expected.adjacency
+                found = [frozenset(K.labels_of(c)) for c in components(K.adjacency, mask)]
+                assert found == sorted(union_find_components(sorted(J), inside), key=min)
 
 
 def test_universal_mask_matches_degree_count_exhaustive():
@@ -139,6 +147,13 @@ def test_universal_mask_matches_degree_count_exhaustive():
         for K in all_flag_complexes(n):
             expected = sum(1 << i for i, a in enumerate(K.adjacency) if a.bit_count() == n - 1)
             assert sum(f for f in join_factors(K) if f.bit_count() == 1) == expected
+
+
+def test_subset_sums_are_images_under_permutations():
+    # a table of the sums of distinct bits maps every subset to its image
+    for perm in permutations(range(4)):
+        image = subset_sums([1 << p for p in perm], 0)
+        assert image == [sum(1 << perm[v] for v in bits(S)) for S in range(16)]
 
 
 # -- join --------------------------------------------------------------------
