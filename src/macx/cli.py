@@ -5,9 +5,11 @@ mcgavran, verify-theorems, yspace. Human-readable text by default, ``--json``
 for machine consumption (sorted keys, no timestamps, byte-stable for a fixed
 input). Every ``--json`` report goes through one writer, ``_write_json``: the
 bytes of ``json.dumps(..., sort_keys=True, indent=2)`` and a newline, written
-in pieces. Exit codes: 0 success, 1 usage or parse error, 2 counterexample found
-(verify-theorems only). ``main`` is the one error boundary: any OSError or
-ValueError a command raises is printed as ``error: <message>`` with exit 1.
+in pieces, the generator words a block at a time from their codes
+(``GeneratorSet.blocks``), as in the text modes. Exit codes: 0 success, 1 usage
+or parse error, 2 counterexample found (verify-theorems only). ``main`` is the
+one error boundary: any OSError or ValueError a command raises is printed as
+``error: <message>`` with exit 1.
 
 Complex file format: UTF-8 lines, ``vertices m`` header, then one
 ``facet v1 v2 ...`` line per facet; ``#`` starts a comment; vertices are
@@ -20,9 +22,6 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterator
-from functools import partial
-from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 
 from . import classify, generators, homology, loop_algebra, simplicial, sweep
@@ -82,7 +81,7 @@ def parse_complex(path):
     return parse_complex_text(text)
 
 
-# Items of a long list per write: a block's text is a few hundred KB at most.
+# Words or ints per write: a block's text is a few hundred KB at most.
 _BLOCK = 2048
 # The C encoders json.dumps would reach for these types, without its call
 _SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__}
@@ -94,31 +93,24 @@ def _write_json(value, write):
     ever built whole (``indent`` sends ``json.dumps`` to its pure-Python
     encoder, and the document of a large ``analyze`` is megabytes).
 
-    Lists of strings or of ints, and an iterator read as a list, go out in
-    blocks of ``_BLOCK`` items. All but the blocks of strings and of
-    iterators is rendered before the first write, so that what can raise,
-    such as an int past the digit limit, raises with nothing written. A
-    string always encodes; an iterator's items are rendered as they are
-    written and must not raise."""
+    The word lists go out in blocks of ``_BLOCK`` words, each rendered from
+    the codes as it is written: a ``generators.Words`` sequence as its
+    strings, and a ``generators.GeneratorSet`` as its words' objects
+    ``{"i", "j", "prefix"}``. All else is rendered before the first write,
+    so that what can raise, such as an int past the digit limit, raises
+    with nothing written; a word list always renders."""
     parts = []
     _json_parts(value, "\n", parts)
     parts.append("\n")
-    for text in _texts(parts):
-        write(text)
-
-
-def _texts(parts):
     for part in parts:
-        if isinstance(part, str):
-            yield part
-        else:
-            yield from part
+        for text in [part] if isinstance(part, str) else part:
+            write(text)
 
 
 def _json_parts(value, newline, parts):
     """Append to ``parts`` the text of ``value`` at the indentation of
-    ``newline`` (a newline and its pad): strings, and for a list of strings
-    or an iterator a generator of its blocks, not yet run."""
+    ``newline`` (a newline and its pad): strings, and for a word list a
+    generator of its blocks, not yet run."""
     inner = newline + "  "
     sep = "," + inner
     if isinstance(value, dict) and value:
@@ -129,43 +121,37 @@ def _json_parts(value, newline, parts):
             _json_parts(item, inner, parts)
             lead = sep
         parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)) and value and all(type(n) is int for n in value):
+        # rendered now (a repr can raise), a block per part
+        parts.append("[" + inner + sep.join(map(int.__repr__, value[:_BLOCK])))
+        parts += [sep + sep.join(map(int.__repr__, value[k:k + _BLOCK]))
+                  for k in range(_BLOCK, len(value), _BLOCK)]
+        parts.append(newline + "]")
     elif isinstance(value, (list, tuple)) and value:
-        # the blocks of ints are rendered now (a repr can raise), of strings when written
-        if all(type(item) is int for item in value):
-            parts += ["[" + inner, *_blocks(iter(value), int.__repr__, sep), newline + "]"]
-        elif all(isinstance(item, str) for item in value):
-            blocks = _blocks(iter(value), encode_basestring_ascii, sep)
-            parts += ["[" + inner, blocks, newline + "]"]
-        else:
-            lead = "[" + inner
-            for item in value:
-                parts.append(lead)
-                _json_parts(item, inner, parts)
-                lead = sep
-            parts.append(newline + "]")
-    elif isinstance(value, Iterator):
-        first = list(islice(value, 1))
-        if first:
-            blocks = _blocks(chain(first, value), partial(_json_text, newline=inner), sep)
-            parts += ["[" + inner, blocks, newline + "]"]
-        else:
-            parts.append("[]")
+        lead = "[" + inner
+        for item in value:
+            parts.append(lead)
+            _json_parts(item, inner, parts)
+            lead = sep
+        parts.append(newline + "]")
+    elif isinstance(value, generators.Words):
+        # a word is ASCII of "(g_", digits, "," and ")": quoted as it is rendered
+        blocks = value.blocks(_BLOCK, '"', '"', sep)
+        parts += ["[" + inner, blocks, newline + "]"] if value else ["[]"]
+    elif isinstance(value, generators.GeneratorSet):
+        parts += ["[" + inner, _word_data(value, inner), newline + "]"] if value.count else ["[]"]
     else:
         parts.append(_SCALAR_TEXT.get(type(value), json.dumps)(value))
 
 
-def _json_text(value, newline):
-    parts = []
-    _json_parts(value, newline, parts)
-    return "".join(_texts(parts))
-
-
-def _blocks(items, encode, sep):
-    """The items of an iterator, each encoded, ``_BLOCK`` per text."""
-    lead = ""
-    while block := list(islice(items, _BLOCK)):
-        yield lead + sep.join(map(encode, block))
-        lead = sep
+def _word_data(gens, newline):
+    """The blocks of the words' objects {"i", "j", "prefix"} at the
+    indentation of ``newline``, rendered from their codes."""
+    key, item = newline + "  ", newline + "    "
+    blocks = gens.blocks(_BLOCK, lambda j, i: f'{{{key}"i": {i},{key}"j": {j},{key}"prefix": [',
+                         lambda k: f",{item}{k}", lambda j, i: "",
+                         lambda n: f"{key if n else ''}]{newline}}}", "," + newline)
+    return (block.replace("[,", "[") for block in blocks)  # the comma before the first label
 
 
 def _group_json(g):
@@ -181,7 +167,8 @@ def _bigraded_json(table):
 
 
 def analyze(K, name="complex", truncate=12):
-    """Assemble the full analysis payload for one complex (plain data).
+    """Assemble the full analysis payload for one complex: plain data, but
+    for the two word lists, ``generators.Words`` sequences rendered as read.
 
     A truncation below 0 or past ``loop_algebra.MAX_TRUNCATION``, whatever
     the complex, or a cycle too long for its sphere-product decomposition,
@@ -241,7 +228,8 @@ def _print_analysis(data):
               f"one-relator algebra: {data['one_relator_algebra']}")
         print(f"Golod: {data['golod']}    minimally non-Golod: {data['minimally_non_golod']}")
     print(f"generators ({data['generator_count']}):")
-    print("".join(f"  {word}\n" for word in data["generators_group"]), end="")
+    for block in data["generators_group"].blocks(_BLOCK, "  ", "\n"):
+        print(block, end="")
     print("H_*(R_K):")
     for entry in data["H_R"]:
         g = homology.HomologyGroup.from_divisors(entry["rank"], entry["torsion"])
@@ -273,15 +261,12 @@ def cmd_generators(args):
     gens = generators.enumerate_generators(parse_complex(args.file))
     words = gens.rendered(args.kind)
     if args.json:
-        data = {
-            "count": gens.count,
-            "kind": args.kind,
-            "words": words,
-            "data": ({"prefix": list(prefix), "j": j, "i": i} for prefix, j, i in gens.words),
-        }
+        data = {"count": gens.count, "kind": args.kind, "words": words, "data": gens}
         _write_json(data, sys.stdout.write)
     else:
-        print("".join(f"{word}\n" for word in words) + f"count: {gens.count}")
+        for block in words.blocks(_BLOCK, trail="\n"):
+            print(block, end="")
+        print(f"count: {gens.count}")
     return 0
 
 
@@ -354,8 +339,7 @@ def cmd_verify(args):
     else:
         checks = sweep.ALL_CHECKS
     cfg = sweep.SweepConfig(args.max_vertices, args.iso_dedup, checks)
-    workers = sweep.workers_from_environment()
-    report = sweep.run_sweep(cfg, workers)
+    report = sweep.run_sweep(cfg)
     if args.json:
         _write_json(report.to_json_dict(), sys.stdout.write)
     else:
@@ -369,8 +353,16 @@ def cmd_verify(args):
     return 2 if report.counterexamples else 0
 
 
+def _relator_index(token):
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"bad relator token {token!r}, "
+                         "expected signed indices like '1 2 -1 -2'") from None
+
+
 def cmd_yspace(args):
-    word = classify.RelatorWord.from_ints(int(tok) for tok in args.word.split())
+    word = classify.RelatorWord.from_ints(map(_relator_index, args.word.split()))
     groups = classify.y_space_homology(args.generators, word)
     if args.json:
         data = {"l": args.generators, "word": str(word),

@@ -17,10 +17,11 @@ at m = 19 and some 750 MB at m = 24, doubling with each further vertex.
 A J that meets two join factors of K gives a connected K_J, so a join is
 walked one factor at a time, with a table over that factor's vertices only.
 
-Each word is kept as one integer of position masks and rendered only when
-asked for, in either notation from its own opener and closer: the group word
-(g_a,(g_b,g_c)) is the algebra word [u_a,[u_b,u_c]]. No group or algebra
-element equality is ever checked.
+Each word is kept as one integer of position masks and rendered a block at a
+time, as it is written, by one renderer (``GeneratorSet.blocks``). The
+algebra word [u_a,[u_b,u_c]] is the group word (g_a,(g_b,g_c)) with "()g"
+read as "[]u", one ``str.translate`` per block. No group or algebra element
+equality is ever checked.
 """
 
 from __future__ import annotations
@@ -35,15 +36,14 @@ from .simplicial import bits, join_factors, subset_sums
 GROUP = "group"
 ALGEBRA = "algebra"
 
-# Most generator words ``enumerate_generators`` lists. ``analyze --json``
-# peaks at about 0.34 KB of memory per word (330 MB for the 917,506 words of
-# the 18-cycle): the bound keeps the 4,194,306 words of the 20-cycle and caps
-# that peak near 3 GB.
+# Most generator words ``enumerate_generators`` lists. The peak memory of
+# ``analyze --json`` grows by about 65 bytes per word (77 MB for the 917,506
+# words of the 18-cycle, 145 MB for the 1,966,082 of the 19-cycle): the bound
+# keeps the 4,194,306 words of the 20-cycle and caps the words' part near 0.55 GB.
 MAX_WORDS = 1 << 23
 
-# Per notation, the text that opens a commutator, up to its first label, and
-# the text that closes it.
-_NOTATION = {GROUP: ("(g_", ")"), ALGEBRA: ("[u_", "]")}
+# The algebra text is the group text with "()g" read as "[]u"
+_ALGEBRA_TEXT = str.maketrans("()g", "[]u")
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,9 @@ class GeneratorSet:
     """The words of one enumeration in canonical order, over vertex labels
     ``labels``. A word is its code: ``codes`` holds one integer per word, the
     prefix's position mask above the low m bits, which hold the positions of
-    i and j. ``words`` reads them as (prefix, j, i) label triples and
-    ``rendered`` as text."""
+    i and j. ``words`` reads them as (prefix, j, i) label triples,
+    ``rendered`` as commutator text, and ``blocks`` renders any text made of
+    their parts."""
 
     labels: tuple[int, ...]
     codes: tuple[int, ...]
@@ -66,24 +67,67 @@ class GeneratorSet:
         return _WordView(self)
 
     def rendered(self, kind=GROUP):
-        """Every word as text, as group or as algebra commutators.
+        """Every word as group or as algebra commutator text: a ``Words``
+        sequence, rendered as it is read."""
+        return Words(self, kind)
 
-        A prefix's text is that of its low half followed by that of its high
-        half, each read from a table of 2^(m/2) concatenations; a code has
-        |prefix| + 2 bits set."""
-        if kind not in _NOTATION:
-            raise ValueError(f"unknown word kind {kind!r}")
-        opener, closer = _NOTATION[kind]
+    def blocks(self, size, head, piece, mid, tail, sep=""):
+        """The text of every word, ``size`` words per string, all words
+        joined by ``sep``. A word's text is head(j, i), piece(k) for each
+        label k of its prefix in ascending order, mid(j, i), and tail(n) for
+        a prefix of n labels, read from tables: the prefix's pieces from two
+        of 2^(m/2) concatenations, for its low and its high half."""
         labels, m = self.labels, len(self.labels)
         half = m // 2
-        low, high = (subset_sums([f"{opener}{label}," for label in part], "")
+        low, high = (subset_sums(list(map(piece, part)), "")
                      for part in (labels[:half], labels[half:]))
-        inner = {1 << i | 1 << j: f"{opener}{labels[j]},{opener[1:]}{labels[i]}{closer}"
-                 for j in range(m) for i in range(j)}
-        closers = ["", ""] + [closer * n for n in range(m - 1)]
+        pairs = {1 << i | 1 << j: (labels[j], labels[i]) for j in range(m) for i in range(j)}
+        heads, mids = ({p: text(*ji) for p, ji in pairs.items()} for text in (head, mid))
+        tails = ["", ""] + [tail(n) for n in range(m - 1)]
         low_bits, pair_bits = (1 << half) - 1, (1 << m) - 1
-        return [low[c >> m & low_bits] + high[c >> m + half] + inner[c & pair_bits]
-                + closers[c.bit_count()] for c in self.codes]
+        codes, lead = self.codes, ""
+        for start in range(0, len(codes), size):
+            yield lead + sep.join([
+                heads[p := c & pair_bits] + low[c >> m & low_bits] + high[c >> m + half]
+                + mids[p] + tails[c.bit_count()] for c in codes[start:start + size]])
+            lead = sep
+
+
+class Words(Sequence):
+    """The words of a ``GeneratorSet`` as text in one notation, rendered
+    when read and kept nowhere; equal to the list of the same strings."""
+
+    def __init__(self, gens, kind=GROUP):
+        if kind not in (GROUP, ALGEBRA):
+            raise ValueError(f"unknown word kind {kind!r}")
+        self.gens, self.kind = gens, kind
+
+    def blocks(self, size, lead="", trail="", sep=""):
+        """The words ``size`` per string, each between ``lead`` and
+        ``trail`` and all joined by ``sep``, none of which may hold "()g":
+        the algebra text is the group text with "()g" read as "[]u"."""
+        blocks = self.gens.blocks(size, lambda j, i: lead, lambda k: f"(g_{k},",
+                                  lambda j, i: f"(g_{j},g_{i})", lambda n: ")" * n + trail, sep)
+        return blocks if self.kind == GROUP else (b.translate(_ALGEBRA_TEXT) for b in blocks)
+
+    def __len__(self):
+        return self.gens.count
+
+    def __getitem__(self, n):
+        """One word, or for a slice the ``Words`` of the codes it selects."""
+        codes = self.gens.codes[n] if isinstance(n, slice) else (self.gens.codes[n],)
+        words = Words(GeneratorSet(self.gens.labels, codes), self.kind)
+        return words if isinstance(n, slice) else "".join(words.blocks(1))
+
+    def __iter__(self):
+        for block in self.blocks(1024, trail="\n"):
+            yield from block.splitlines()
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, Words)) else NotImplemented
+
+    def __repr__(self):
+        return repr(list(self))
 
 
 class _WordView(Sequence):

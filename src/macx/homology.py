@@ -255,12 +255,12 @@ def clear_cache():
     _MEMO.clear()
 
 
-def _reduced_groups_impl(faces):
+def _reduced_groups_impl(faces, adj):
     """Reduced integral homology of the complex whose faces are the given
     bitmask tuple, in ascending order (which must include 0 and determine
-    the vertex set through its singletons). Returns groups for degrees
-    0..dim; the empty complex returns (), its H~_{-1} = Z being the callers'
-    business."""
+    the vertex set through its singletons), a full subcomplex of one with
+    neighbour masks ``adj``. Returns groups for degrees 0..dim; the empty
+    complex returns (), its H~_{-1} = Z being the callers' business."""
     levels = {}
     for f in faces:
         levels.setdefault(f.bit_count() - 1, []).append(f)
@@ -272,12 +272,6 @@ def _reduced_groups_impl(faces):
         return (HomologyGroup(n0 - 1),)
     # Component count gives rank of the vertex-edge boundary map directly
     # (its Smith form never has invariant factors > 1).
-    adj = [0] * faces[-1].bit_length()
-    for e in levels[1]:
-        a = (e & -e).bit_length() - 1
-        b = e.bit_length() - 1
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
     comps = sum(1 for _ in components(adj, sum(levels[0])))
     n1 = len(levels[1])
     if dim == 1:
@@ -306,7 +300,7 @@ def reduced_homology(K):
     This is the entry point for one whole complex, which the subset walks
     never take, and so the tests' independent route to their sums.
     """
-    return list(_reduced_groups_impl(K.sorted_face_masks))
+    return list(_reduced_groups_impl(K.sorted_face_masks, K.adjacency))
 
 
 # -- full-subcomplex decompositions ----------------------------------------
@@ -405,7 +399,7 @@ def _per_subset_groups(K):
             continue
         groups = memo.get(key := _core_key(J, adj)) if memo is not None else None
         if groups is None:
-            groups = _reduced_groups_impl(tuple(f for f in faces if not f & ~J))
+            groups = _reduced_groups_impl(tuple(f for f in faces if not f & ~J), adj)
             if memo is not None:
                 if len(memo) >= MEMO_LIMIT:
                     memo.clear()

@@ -239,27 +239,15 @@ class FreeDGAlgebra:
             image = self.differentials.get(letter)
             if image:
                 sign = -1 if partial % 2 else 1
-                head = word[:pos]
-                tail = word[pos + 1:]
-                for mono, coeff in image.items():
-                    new = head + mono + tail
-                    val = out.get(new, 0) + sign * coeff
-                    if val:
-                        out[new] = val
-                    else:
-                        out.pop(new, None)
+                head, tail = word[:pos], word[pos + 1:]
+                _add_combo(out, {head + mono + tail: sign * c for mono, c in image.items()})
             partial += self._degree[letter]
         return out
 
     def diff_combination(self, combo):
         out = {}
         for word, coeff in combo.items():
-            for new, c in self.diff_word(word).items():
-                val = out.get(new, 0) + coeff * c
-                if val:
-                    out[new] = val
-                else:
-                    out.pop(new, None)
+            _add_combo(out, {new: coeff * c for new, c in self.diff_word(word).items()})
         return out
 
     def dd_is_zero(self):

@@ -159,12 +159,7 @@ class SimplicialComplex:
         faces.update(1 << i for i in range(len(labels)))
         for mask in masks:
             faces.update(_submasks(mask))
-        return cls._from_faces(labels, faces)
-
-    @classmethod
-    def _from_faces(cls, labels, faces):
-        """Internal constructor; assumes faces is already downward closed."""
-        return cls(tuple(labels), frozenset(faces))
+        return cls(labels, frozenset(faces))
 
     # -- basic queries -----------------------------------------------------
 
@@ -358,7 +353,7 @@ def clique_complex(vertices, edges):
         if len(faces) > MAX_CLIQUE_FACES:
             raise ValueError(f"clique enumeration exceeds budget of {MAX_CLIQUE_FACES} faces")
         level = list(_clique_extensions(adj, level))
-    K = SimplicialComplex._from_faces(labels, faces)
+    K = SimplicialComplex(labels, frozenset(faces))
     object.__setattr__(K, "flag_check", CheckResult(True))
     object.__setattr__(K, "adjacency", tuple(adj))
     return K
@@ -373,39 +368,26 @@ def is_chordal(K):
 
 
 def _chordal(adj):
-    """Chordality of a graph given by neighbour bitmasks: maximum cardinality
-    search, then verification of the perfect elimination ordering it gives."""
+    """Chordality of a graph given by neighbour bitmasks, by maximum
+    cardinality search: as each vertex is picked, its neighbours picked
+    before it, but the last, must neighbour that last one (Tarjan and
+    Yannakakis, SIAM J. Comput. 13, 1984)."""
     n = len(adj)
-    weight = [0] * n
-    numbered = 0
-    picks = []
-    for _ in range(n):
-        best = -1
-        v = -1
+    weight, step, numbered = [0] * n, [0] * n, 0
+    for k in range(n):
+        best = v = -1
         for i in range(n):
-            if not numbered >> i & 1 and weight[i] > best:
-                best = weight[i]
-                v = i
-        picks.append(v)
+            if weight[i] > best and not numbered >> i & 1:
+                best, v = weight[i], i
+        before = adj[v] & numbered
+        if before:
+            u = max(bits(before), key=step.__getitem__)
+            if before & ~adj[u] & ~(1 << u):
+                return False
+        step[v] = k
         numbered |= 1 << v
         for u in bits(adj[v] & ~numbered):
             weight[u] += 1
-    order = picks[::-1]  # candidate perfect elimination ordering
-    position = [0] * n
-    for idx, v in enumerate(order):
-        position[v] = idx
-    later = [0] * n
-    seen = 0
-    for v in order:
-        later[v] = adj[v] & ~seen & ~(1 << v)
-        seen |= 1 << v
-    for v in order:
-        nb = later[v]
-        if nb:
-            u = min(bits(nb), key=lambda x: position[x])
-            rest = nb & ~(1 << u)
-            if rest & ~adj[u]:
-                return False
     return True
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle
+from conftest import component_search_words, cycle, nested_commutator_text, simplex
 from macx import cli, generators, homology, loop_algebra, simplicial
 from macx.cli import ComplexParseError, main, parse_complex_text
 from macx.simplicial import CheckResult
@@ -295,6 +296,12 @@ def test_yspace_command(capsys):
     assert main(["yspace", "-l", "1", "--word", "1 -1"]) == 1   # unreduced
 
 
+def test_yspace_names_a_bad_token(capsys):
+    assert main(["yspace", "-l", "2", "--word", "1 x -1"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: bad relator token 'x', expected signed indices like '1 2 -1 -2'\n")
+
+
 def test_verify_theorems_clean(capsys):
     assert main(["verify-theorems", "--max-vertices", "4", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -462,33 +469,20 @@ def written(value):
     return "".join(out)
 
 
-def lists_as_iterators(value):
-    if isinstance(value, (list, tuple)):
-        return iter([lists_as_iterators(item) for item in value])
-    if isinstance(value, dict):
-        return {key: lists_as_iterators(item) for key, item in value.items()}
-    return value
-
-
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(st.recursive(JSON_SCALARS, json_containers, max_leaves=40))
 def test_json_writer_matches_json_dumps(value):
     """The writer's bytes are json.dumps(sort_keys=True, indent=2) and a
-    newline, with every list also given as an iterator."""
-    expected = json.dumps(value, sort_keys=True, indent=2) + "\n"
-    assert written(value) == expected
-    assert written(lists_as_iterators(value)) == expected
+    newline."""
+    assert written(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 def test_json_writer_blocks_and_failures():
-    """Lists longer than a block, as lists and as iterators; and a value that
-    cannot be written raises with nothing written, though a list of strings
-    comes before it."""
+    """Lists longer than a word block; and a value that cannot be written
+    raises with nothing written, though a list of strings comes before it."""
     n = 2 * cli._BLOCK + 1
     value = {"s": [f"w{k}\\" for k in range(n)], "d": [{"k": [k, -k]} for k in range(n)]}
-    expected = json.dumps(value, sort_keys=True, indent=2) + "\n"
-    assert written(value) == expected
-    assert written({"s": iter(value["s"]), "d": iter(value["d"])}) == expected
+    assert written(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
     for bad in (10 ** 5000, [1, 10 ** 5000], [True, 10 ** 5000], object()):
         out = []
         with pytest.raises((TypeError, ValueError)):
@@ -499,9 +493,13 @@ def test_json_writer_blocks_and_failures():
 def test_json_writer_peaks_under_the_document():
     """Writing the ``analyze`` payload of a 14-cycle (81,924 words) to a sink
     that keeps nothing peaks, under tracemalloc, at a small part of the
-    document's length: json.dumps(indent=2) peaks above it."""
+    document's length: json.dumps(indent=2) peaks above it. The length is
+    that of the payload with its two word sequences as lists, which
+    json.dumps can encode."""
     data = cli.analyze(cycle(14))
-    length = len(json.dumps(data, sort_keys=True, indent=2))
+    plain = {**data, **{key: list(data[key])
+                        for key in ("generators_group", "generators_algebra")}}
+    length = len(json.dumps(plain, sort_keys=True, indent=2))
     tracemalloc.start()
     try:
         cli._write_json(data, lambda text: None)
@@ -509,3 +507,62 @@ def test_json_writer_peaks_under_the_document():
     finally:
         tracemalloc.stop()
     assert peak <= length / 4
+
+
+def word_sets():
+    """Generator sets of 0 and 1 words, of exactly one and of two blocks and
+    a word (the leading words of the 12-cycle's 8,194), on multi-digit
+    labels, on a relabelled cycle, and on a join whose factors interleave
+    (the words of its two walks merged by J)."""
+    c12 = generators.enumerate_generators(cycle(12))
+    order = [13, 7, 21, 5, 40, 9, 11]
+    join_edges = [(1, 3), (3, 5), (5, 7), (7, 1), (2, 4), (4, 6), (6, 8), (8, 9), (9, 2)]
+    join_edges += [(a, b) for a in (1, 3, 5, 7) for b in (2, 4, 6, 8, 9)]
+    complexes = [simplex(2), simplicial.SimplicialComplex.from_facets([[1], [2]], 2),
+                 cycle(9, labels=range(10, 19)),
+                 simplicial.clique_complex(order, zip(order, order[1:] + order[:1])),
+                 simplicial.clique_complex(9, join_edges)]
+    sets = [(generators.enumerate_generators(K), component_search_words(K)) for K in complexes]
+    expected = component_search_words(cycle(12))
+    for n in (cli._BLOCK, 2 * cli._BLOCK + 1):
+        sets.append((generators.GeneratorSet(c12.labels, c12.codes[:n]), expected[:n]))
+    return sets
+
+
+def test_word_renderer_matches_nested_commutators():
+    """The writer's bytes for a word sequence, for a GeneratorSet's word
+    objects and for both at depth, and the text modes' lines, against words
+    nested one commutator at a time and json.dumps."""
+    sets = word_sets()
+    counts = [gens.count for gens, _ in sets]
+    assert counts[:2] + counts[-2:] == [0, 1, cli._BLOCK, 2 * cli._BLOCK + 1]
+    for gens, triples in sets:
+        data = [{"i": i, "j": j, "prefix": list(prefix)} for prefix, j, i in triples]
+        for kind in (generators.GROUP, generators.ALGEBRA):
+            words = gens.rendered(kind)
+            texts = [nested_commutator_text(*w, kind) for w in triples]
+            assert written(words) == json.dumps(texts, indent=2) + "\n"
+            value = {"count": gens.count, "data": gens, "words": words}
+            plain = {"count": gens.count, "data": data, "words": texts}
+            for wrap in (lambda v: v, lambda v: [{"deeper": [v]}]):
+                assert written(wrap(value)) == json.dumps(wrap(plain), sort_keys=True,
+                                                          indent=2) + "\n"
+            assert "".join(words.blocks(cli._BLOCK, "  ", "\n")) == "".join(
+                f"  {text}\n" for text in texts)
+
+
+def test_analyze_payload_holds_no_word_list():
+    """The ``analyze`` payload of a 14-cycle keeps its 40,962 words per kind
+    as codes: its traced memory, with the homology memo warm, stays below the
+    size of one rendered word list (about 3.6 MB)."""
+    K = cycle(14)
+    cli.analyze(K)
+    tracemalloc.start()
+    try:
+        data = cli.analyze(K)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    words = list(data["generators_group"])
+    assert len(words) == 40_962
+    assert held < sys.getsizeof(words) + sum(map(sys.getsizeof, words))

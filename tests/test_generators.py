@@ -66,6 +66,25 @@ def test_words_square():
     assert words.rendered() == ["(g_3,g_1)", "(g_4,g_2)"]
 
 
+def test_word_sequence_reads_like_a_list():
+    """A word sequence keeps codes and renders when read: its length, single
+    words by index from either end, slices, iteration, equality with lists
+    either way round, and its repr, in both notations."""
+    K = cycle(7, labels=range(8, 15))
+    gens = enumerate_generators(K)
+    for kind in (GROUP, ALGEBRA):
+        words = gens.rendered(kind)
+        expected = [nested_commutator_text(*w, kind) for w in component_search_words(K)]
+        assert len(words) == len(expected) == 98
+        assert [words[n] for n in (0, 5, 97, -1, -98)] == [expected[n] for n in (0, 5, 97, -1, -98)]
+        assert words[3:9] == expected[3:9] and words[90:] == expected[90:] and words[:0] == []
+        assert expected == words and list(words) == expected and words == gens.rendered(kind)
+        assert words != expected[:-1] and words != tuple(expected)
+        assert repr(words) == repr(expected)
+        with pytest.raises(IndexError):
+            words[98]
+
+
 def test_word_shape_validation():
     """The oracle's index checks, each on a triple of C6 whose support leaves
     i's component without j, so that only an index check rejects it; and the
