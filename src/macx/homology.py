@@ -122,16 +122,18 @@ def sparse_rank_invariants(columns):
     nonzero entries of its Smith normal form, and those > 1 as a divisibility
     chain (the others are 1).
 
-    Each column is a dict {row index: coefficient}; zero coefficients are
-    ignored.
+    Each column is a dict {row key: coefficient}; zero coefficients are
+    ignored. Row keys are hashable and mutually comparable, such as the cells
+    the rows stand for, since both kinds of pass break ties by row key.
 
     Every step is unimodular and works on sparse rows ``{row: {col: coeff}}``.
     A unit pass picks a +-1 entry in a short column, taking the shortest row
-    that holds a unit there, subtracts multiples of the pivot row from the
-    other rows of that column and drops the pivot row and column: column
-    operations by a unit would clear the rest of the pivot row and touch no
-    other row, so this splits off a diagonal 1. Boundary and dg-algebra
-    matrices have nearly all pivots +-1, so unit passes usually empty them.
+    that holds a unit there (of equals, the greatest key; set order varies
+    with the hash seed), subtracts multiples of the pivot row from the other
+    rows of that column and drops the pivot row and column: column operations
+    by a unit would clear the rest of the pivot row and touch no other row, so
+    this splits off a diagonal 1. Boundary and dg-algebra matrices have nearly
+    all pivots +-1, so unit passes usually empty them.
 
     A pass that finds no unit takes an entry a of least |a| and reduces its
     column by floor division; once a is alone there, the rest of its row is
@@ -167,7 +169,7 @@ def sparse_rank_invariants(columns):
             best = None
             for r in held:
                 row = rows[r]
-                if row[j] in (1, -1) and (best is None or len(row) < best):
+                if row[j] in (1, -1) and (best is None or (best, r) > (len(row), pivot)):
                     pivot, best = r, len(row)
             if pivot is None:
                 continue
@@ -279,14 +281,9 @@ def _reduced_groups_impl(faces, adj):
     counts = {k: len(v) for k, v in levels.items()}
     ranks = {0: 1, 1: n0 - comps}
     torsions = {}
-    for k in range(2, dim + 1):
-        index = {f: i for i, f in enumerate(levels[k - 1])}
-        cols = []
-        for f in levels[k]:
-            col = {}
-            for r, b in enumerate(bits(f)):
-                col[index[f & ~(1 << b)]] = -1 if r % 2 else 1
-            cols.append(col)
+    for k in range(2, dim + 1):  # rows keyed by the faces of dimension k - 1
+        cols = [{f & ~(1 << b): -1 if r % 2 else 1 for r, b in enumerate(bits(f))}
+                for f in levels[k]]
         ranks[k], torsions[k] = sparse_rank_invariants(cols)
     return tuple(HomologyGroup(counts[k] - ranks[k] - ranks.get(k + 1, 0), torsions.get(k + 1, ()))
                  for k in range(dim + 1))

@@ -225,9 +225,6 @@ class FreeDGAlgebra:
                 if coeff and self.word_degree(word) != self._degree[name] - 1:
                     raise ValueError(f"differential of {name} is not degree-lowering by one")
 
-    def degree(self, name):
-        return self._degree[name]
-
     def word_degree(self, word):
         return sum(self._degree[x] for x in word)
 
@@ -269,8 +266,6 @@ class FreeDGAlgebra:
         if cached is None:
             if n == 0:
                 cached = [()]
-            elif n < 0:
-                cached = []
             else:
                 cached = []
                 for name, deg in self.generators:
@@ -353,14 +348,8 @@ def dga_homology_ranks(A, n):
     torsions = [()] * (n + 2)
     dims = [len(A.basis(k)) for k in range(n + 2)]
     support = set(A.differentials)
-    for k in range(1, n + 2):
-        lower = {w: i for i, w in enumerate(A.basis(k - 1))}
-        cols = []
-        for word in A.basis(k):
-            if support.isdisjoint(word):
-                cols.append({})
-                continue
-            cols.append({lower[w]: c for w, c in A.diff_word(word).items()})
+    for k in range(1, n + 2):  # rows keyed by words; a word with no d-letter is a cycle
+        cols = [A.diff_word(word) for word in A.basis(k) if not support.isdisjoint(word)]
         rank_d[k], torsions[k] = sparse_rank_invariants(cols)
     ranks = []
     torsion = {}

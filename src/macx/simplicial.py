@@ -22,14 +22,13 @@ from functools import cached_property
 
 MAX_VERTICES = 24
 
-# Most faces clique_complex enumerates before it refuses the graph.
+# Most faces clique_complex and from_facets enumerate before they refuse
+# the graph or the facet list.
 MAX_CLIQUE_FACES = 1 << 20
 
 # Reason codes for a failed star-condition classification.
 REASON_NOT_FLAG = "not_flag"
 REASON_REMAINDER_NOT_CYCLE = "remainder_not_cycle"
-REASON_CYCLE_TOO_SHORT = "cycle_too_short"
-REASON_CONE_NOT_UNIVERSAL = "cone_not_universal"
 
 
 def bits(mask):
@@ -144,6 +143,8 @@ class SimplicialComplex:
         ``vertices`` is either a count m (labels 1..m) or an iterable of
         labels. Singletons of every declared vertex are always included, and
         the facet list is recomputed as the maximal faces of the closure.
+        A closure past ``MAX_CLIQUE_FACES`` faces is refused (ValueError), and
+        a facet of more than 20 vertices before its faces are listed.
         """
         labels = _normalize_labels(vertices)
         pos = {v: i for i, v in enumerate(labels)}
@@ -158,7 +159,12 @@ class SimplicialComplex:
         faces = {0}
         faces.update(1 << i for i in range(len(labels)))
         for mask in masks:
+            if 1 << mask.bit_count() > MAX_CLIQUE_FACES:  # its closure alone is too large
+                raise ValueError(f"facet of {mask.bit_count()} vertices exceeds budget "
+                                 f"of {MAX_CLIQUE_FACES} faces")
             faces.update(_submasks(mask))
+            if len(faces) > MAX_CLIQUE_FACES:
+                raise ValueError(f"facet closure exceeds budget of {MAX_CLIQUE_FACES} faces")
         return cls(labels, frozenset(faces))
 
     # -- basic queries -----------------------------------------------------
@@ -403,12 +409,12 @@ def is_minimally_non_chordal(K):
 
 
 def _find_hole(K):
-    """A chordless cycle of length >= 4 in the 1-skeleton of K, which is not
-    chordal.
+    """A chordless cycle of length >= 4 in the 1-skeleton of K, not chordal.
 
     For each vertex v and each non-adjacent pair u, w of its neighbours, a
     shortest u-w path avoiding the rest of N[v] closes up with v to a cycle
-    with no chords (shortcuts would contradict path minimality)."""
+    with no chords (shortcuts would contradict path minimality). Any vertex
+    of a chordless cycle is such a v, so a cycle is always found."""
     adj = K.adjacency
     for v in range(K.m):
         nv = adj[v]
@@ -422,7 +428,6 @@ def _find_hole(K):
                 if path is not None:
                     cycle = [v] + path
                     return tuple(sorted(K.labels[i] for i in cycle))
-    return None
 
 
 def _bfs_path(adj, src, dst, allowed):
@@ -479,8 +484,10 @@ def classify_star_condition(K):
     The simplex factor of such a join is exactly the set of universal
     vertices (each cycle vertex has a non-neighbour since p >= 4), which for
     flag K are the one-vertex join factors. So the cone vertices are removed
-    in one step and the remainder must be a cycle. Non-flag complexes never
-    match.
+    in one step and the remainder must be a cycle. It cannot be a triangle: a
+    vertex of the remainder has a non-neighbour, also in the remainder. A
+    flag K is the clique complex of its graph, here C_p joined with a
+    complete graph, so it is the join itself. Non-flag complexes never match.
     """
     if not is_flag(K):
         return StarClassification.no_match(REASON_NOT_FLAG)
@@ -488,12 +495,4 @@ def classify_star_condition(K):
     rest = K.full_mask & ~universal
     if rest == 0 or not _induces_cycle(K.adjacency, rest):
         return StarClassification.no_match(REASON_REMAINDER_NOT_CYCLE)
-    p = rest.bit_count()
-    if p < 4:
-        return StarClassification.no_match(REASON_CYCLE_TOO_SHORT)
-    # A flag complex with this skeleton is forced to be the join; verify the
-    # face count anyway so a malformed input cannot slip through.
-    q_plus_1 = universal.bit_count()
-    if len(K.face_masks) != (2 * p + 1) << q_plus_1:
-        return StarClassification.no_match(REASON_CONE_NOT_UNIVERSAL)
-    return StarClassification.match(p, K.labels_of(universal))
+    return StarClassification.match(rest.bit_count(), K.labels_of(universal))

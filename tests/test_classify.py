@@ -148,6 +148,8 @@ def test_relator_word_validation():
     word = RelatorWord.from_ints([1, 2, -1, -2])
     assert str(word) == "x1 x2 x1^-1 x2^-1"
     assert RelatorWord.from_ints([1, 1]).letters == ((1, 1), (1, 1))
+    with pytest.raises(ValueError, match="letter 0 is not a generator"):
+        RelatorWord.from_ints([0])
 
 
 def test_y_space_commutator_relator():

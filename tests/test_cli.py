@@ -385,12 +385,14 @@ MANY_TWOS = "4:" + ",".join(["2"] * 30_000)   # coefficients past 4,300 digits a
     ["generators", "{c8}", "--json"],
     ["analyze", "{pcone}", "--truncate", "20000"],     # not a cycle join
     ["analyze", "{pcone}", "--truncate", "-1", "--json"],
+    ["analyze", "{letter}"],
+    ["yspace", "-l", "2", "--word", "0"],
 ])
 def test_every_failure_is_one_error_line(monkeypatch, tmp_path, capsys, argv):
     """Bad input and over-limit requests end in ``error: ...`` and exit 1 at
     the one boundary in ``main``, never in a traceback."""
     files = {"c8": EIGHT_CYCLE.encode(), "pcone": PARTIAL_CONE.encode(),
-             "bad": b"vertices 3\nfacet 1 7\n",
+             "bad": b"vertices 3\nfacet 1 7\n", "letter": b"vertices 3\nfacet 1 x\n",
              "latin1": b"vertices 3\nfacet 1 2 \xff\n"}
     paths = {name: str(tmp_path / f"{name}.cx") for name in [*files, "missing"]}
     for name, data in files.items():
@@ -441,6 +443,19 @@ def test_generators_refuses_words_past_the_bound(monkeypatch, tmp_path, capsys, 
         assert json.loads(out)["count"] == 258
     else:
         assert out.endswith("count: 258\n")
+
+
+def test_analyze_refuses_a_facet_past_the_face_budget(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "simplex20.cx"
+    path.write_text("vertices 21\nfacet " + " ".join(map(str, range(1, 22))) + "\n")
+
+    def no_faces(mask):
+        raise AssertionError("enumerated the faces of a refused facet")
+
+    monkeypatch.setattr(simplicial, "_submasks", no_faces)
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "error: facet of 21 vertices exceeds budget of 1048576 faces\n")
 
 
 def test_usage_errors_exit_one():

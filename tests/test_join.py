@@ -167,6 +167,10 @@ def test_join_groups_tensor_and_tor():
     # Z/4 (x) Z/6 = Tor(Z/4, Z/6) = Z/2, in degrees 0 + 0 + 1 and 0 + 0 + 2
     assert join_groups((G(0, 4),), (G(0, 6),)) == (G(), G(0, 2), G(0, 2))
     assert join_groups((G(0, 2),), (G(0, 3),)) == ()
+    # so a pair of subsets with coprime torsion adds no entry to the joined tally
+    xs, ys = (G(), G(0, 2)), (G(), G(0, 3))
+    assert join_groups(xs, ys) == ()
+    assert homology._join_tallies({(3, xs): 2}, {(4, ys): 5}) == {(3, xs): 2, (4, ys): 5}
     assert join_groups((G(1),), (G(0, 3),)) == (G(), G(0, 3))
     assert join_groups((G(2),), (G(3),)) == (G(), G(6))
     assert join_groups((G(1, 2),), (G(0, 2),)) == (G(), G(0, 2, 2), G(0, 2))

@@ -122,6 +122,14 @@ def test_monomial_oracle_designation_independence():
         assert rank_oracle_monomials(M, 8, special_pair=pair).coefficients == base
 
 
+def test_monomial_oracle_rejects_bad_input():
+    with pytest.raises(ValueError, match="need at least one sphere-product summand"):
+        rank_oracle_monomials(SphereProductSum(4, ()), 8)
+    M = mcgavran(5)
+    with pytest.raises(ValueError, match=f"pair index {M.k} out of range"):
+        rank_oracle_monomials(M, 8, special_pair=M.k)
+
+
 # -- dg algebra models ----------------------------------------------------------
 
 
@@ -186,6 +194,14 @@ def test_dga_validation():
         FreeDGAlgebra((("a", 2), ("a", 3)), {})
     with pytest.raises(ValueError):
         FreeDGAlgebra((("a", 0),), {})
+    with pytest.raises(ValueError, match="differential on unknown generator q"):
+        FreeDGAlgebra((("a", 2),), {"q": {("a",): 1}})
+
+
+def test_differentials_of_a_combination_cancel():
+    A = FreeDGAlgebra((("a", 2), ("y", 3), ("z", 3)), {"y": {("a",): 1}, "z": {("a",): 1}})
+    assert A.diff_combination({("y",): 1, ("z",): -1}) == {}
+    assert A.diff_combination({("y",): 1, ("z",): 1}) == {("a",): 2}
 
 
 def test_dga_homology_matches_closed_series():
@@ -241,3 +257,7 @@ def test_half_smash_deviates_from_single_relation_series():
     assert all(result.ranks[k] <= candidate[k] for k in range(8))
     # and it is not free either
     assert result.series.coefficients != free_algebra_series(degrees, 7).coefficients
+    # the base model's series is the one-relation series, relation in degree d - 2
+    M = mcgavran(5)
+    assert not differs_from_single_relation_series(poincare_series_closed(M, 12),
+                                                   M.generator_degrees())

@@ -75,6 +75,8 @@ def test_from_facets_errors():
         SimplicialComplex.from_facets([[1, 9]], 5)
     with pytest.raises(ValueError):
         SimplicialComplex.from_facets([], 25)
+    with pytest.raises(ValueError, match="at most 24 vertices supported, got 25"):
+        SimplicialComplex.from_facets([], range(25))
 
 
 def test_singletons_always_present():
@@ -265,6 +267,14 @@ def test_clique_complex_budget(monkeypatch):
         clique_complex(5, combinations(range(1, 6), 2))
     assert len(clique_complex(3, [(1, 2)]).face_masks) == 5
 
+
+def test_from_facets_budget(monkeypatch):
+    monkeypatch.setattr(simplicial, "MAX_CLIQUE_FACES", 8)
+    with pytest.raises(ValueError, match="facet of 4 vertices exceeds budget of 8 faces"):
+        SimplicialComplex.from_facets([[1, 2, 3, 4]], 4)
+    with pytest.raises(ValueError, match="facet closure exceeds budget of 8 faces"):
+        SimplicialComplex.from_facets([[1, 2, 3], [2, 3, 4]], 4)
+    assert len(SimplicialComplex.from_facets([[1, 2, 3]], 3).face_masks) == 8
 
 
 def test_flag_iff_clique_complex_of_skeleton():

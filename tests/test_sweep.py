@@ -6,8 +6,10 @@ from math import comb, factorial
 import pytest
 
 from conftest import class_flag_complexes, unpruned_canonical_form
-from macx import simplicial, sweep
-from macx.simplicial import CheckResult, bits, classify_star_condition
+from macx import classify, simplicial, sweep
+from macx.cli import main
+from macx.homology import homology_at, homology_R_and_Z
+from macx.simplicial import CheckResult, SimplicialComplex, bits, classify_star_condition
 from macx.sweep import SweepConfig, SweepReport, graph_classes, run_sweep
 
 A000088 = [1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668]  # graphs on n vertices
@@ -112,6 +114,36 @@ def test_counterexample_payload_reproduces(monkeypatch):
     # thm3 is untouched by chordality, flagmng breaks; homology tables are
     # attached whenever the sweep computed them
     assert any(c.check == "flagmng" for c in report.counterexamples)
+
+
+# check: (the homological route the sweep reads, the detail it reports)
+HOMOLOGICAL_ROUTES = {
+    "thm3": ("one_relator_group_homological", "h2"),
+    "thm5": ("one_relator_algebra_homological", "row_verdict"),
+    "vanishing": ("vanishing_check", None),
+}
+
+
+@pytest.mark.parametrize("check", sorted(HOMOLOGICAL_ROUTES))
+def test_wrong_homological_verdicts_are_reported_with_their_homology(monkeypatch, capsys, check):
+    name, detail = HOMOLOGICAL_ROUTES[check]
+    true_route = getattr(classify, name)
+    monkeypatch.setattr(classify, name, lambda K, *homology: not true_route(K, *homology))
+    assert main(["verify-theorems", "--max-vertices", "4", "--checks", check, "--json"]) == 2
+    found = json.loads(capsys.readouterr().out)["counterexamples"]
+    assert found and {c["check"] for c in found} == {check}
+    cex = found[-1]  # a labelled square: its homology is not all zero
+    K = SimplicialComplex.from_facets(cex["facets"], cex["n"])
+    groups, table = homology_R_and_Z(K)
+    details = cex["details"]
+    assert details["H_R"] == [[k, g.free_rank, list(g.torsion)] for k, g in enumerate(groups)]
+    assert details["bigraded"] == [[i, j2, g.free_rank, list(g.torsion)]
+                                   for (i, j2), g in table.items_sorted()]
+    assert details["star"]["matches"] == bool(classify_star_condition(K))
+    if detail == "h2":
+        assert details["h2"] == str(homology_at(groups, 2))
+    if detail == "row_verdict":
+        assert details["row_verdict"] is not true_route(K, table)
 
 
 def test_config_validation():
