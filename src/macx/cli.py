@@ -73,7 +73,7 @@ def parse_complex(path):
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")  # a leading byte-order mark is dropped
     except UnicodeDecodeError as exc:
         raise ComplexParseError(
             f"{path}: not valid UTF-8 (byte 0x{data[exc.start]:02x} at offset {exc.start})"

@@ -27,8 +27,9 @@ equality is ever checked.
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 from .simplicial import bits, join_factors, subset_sums
@@ -37,9 +38,9 @@ GROUP = "group"
 ALGEBRA = "algebra"
 
 # Most generator words ``enumerate_generators`` lists. The peak memory of
-# ``analyze --json`` grows by about 65 bytes per word (77 MB for the 917,506
-# words of the 18-cycle, 145 MB for the 1,966,082 of the 19-cycle): the bound
-# keeps the 4,194,306 words of the 20-cycle and caps the words' part near 0.55 GB.
+# ``analyze --json`` grows by about 30 bytes per word (45 MB for the 917,506
+# words of the 18-cycle, 75 MB for the 1,966,082 of the 19-cycle): the bound
+# keeps the 4,194,306 words of the 20-cycle and caps the words' part near 0.25 GB.
 MAX_WORDS = 1 << 23
 
 # The algebra text is the group text with "()g" read as "[]u"
@@ -51,12 +52,13 @@ class GeneratorSet:
     """The words of one enumeration in canonical order, over vertex labels
     ``labels``. A word is its code: ``codes`` holds one integer per word, the
     prefix's position mask above the low m bits, which hold the positions of
-    i and j. ``words`` reads them as (prefix, j, i) label triples,
+    i and j, in an ``array("Q")`` of 8 bytes a word (codes stay below 2^48
+    for m <= 24). ``words`` reads them as (prefix, j, i) label triples,
     ``rendered`` as commutator text, and ``blocks`` renders any text made of
     their parts."""
 
     labels: tuple[int, ...]
-    codes: tuple[int, ...]
+    codes: array = field(hash=False)  # hashed by its labels alone: an array is unhashable
 
     @property
     def count(self):
@@ -204,8 +206,7 @@ def enumerate_generators(K):
     smallest vertex and prefix J minus {i, j}. More than ``MAX_WORDS`` words
     are refused (ValueError) once the walk finds one past the bound, before
     any word is rendered."""
-    # through a list: a tuple built straight from the walk grows by resizing
-    codes = list(islice(_word_codes(K), MAX_WORDS + 1))
+    codes = array("Q", islice(_word_codes(K), MAX_WORDS + 1))
     if len(codes) > MAX_WORDS:
         raise ValueError(f"more than {MAX_WORDS} generator words")
-    return GeneratorSet(K.labels, tuple(codes))
+    return GeneratorSet(K.labels, codes)

@@ -306,52 +306,32 @@ def reduced_homology(K):
 def _domination_table(K):
     """For each vertex v of K, one triple (1 << w, single, multi) per edge
     {v, w} of K, such that for every vertex set J holding v and w, v is
-    dominated by w in the full subcomplex K_J exactly when J meets no bit of
-    ``single`` and contains no mask of ``multi``.
+    dominated by w in the full subcomplex K_J if J meets no bit of ``single``
+    and contains no mask of ``multi``, and only then.
 
     v is dominated by w in K_J when every face of K_J through v spans a face
     with w. The obstructions are the faces s of K through v with s + w not a
-    face; they are closed upwards, so the minimal ones decide. They are kept
-    without v. ``single`` is the mask of the one-vertex ones: the neighbours
-    u of v for which {u, v, w} is not a face. ``multi`` lists the others,
-    s - v for a face s of three or more vertices, every vertex of which is a
-    neighbour of w, with s + w not a face but s - u + w a face for each u in
-    s - v. In a flag complex s + w is then a clique, hence a face, so
-    ``multi`` is empty, ``single`` is read off the graph, and the test is one
-    AND."""
-    adj = K.adjacency
-    if K.flag_check:
-        return [tuple((1 << w, adj[v] & ~adj[w] & ~(1 << w), ()) for w in bits(adj[v]))
-                for v in range(K.m)]
-    faces = K.face_masks
-    common = {}  # edge -> mask of the vertices spanning a triangle with it
-    multi = {}  # (v, w) -> the obstructions of more than one vertex
-    for s in faces:
-        size = s.bit_count()
-        if size < 3:
-            continue
-        if size == 3:
-            for u in bits(s):
-                edge = s ^ 1 << u
-                common[edge] = common.get(edge, 0) | 1 << u
-        around = -1
-        for u in bits(s):
-            around &= adj[u]
-        for w in bits(around & ~s):
-            wb = 1 << w
-            if s | wb in faces:
-                continue
-            for v in bits(s):
-                r = s ^ 1 << v
-                if all((s ^ 1 << u) | wb in faces for u in bits(r)):
-                    multi.setdefault((v, w), []).append(r)
+    face, kept without v. If s + w is not a clique, some u in s - v is not a
+    neighbour of w: those u make ``single``. Else s + w holds a missing face
+    n (``K.missing_faces``) through w, and (n - w) + v, inside s, is a face
+    and an obstruction itself: for each such n, n - w - v goes to ``single``
+    if it is one vertex, else to ``multi``. A flag complex has no missing
+    faces, so there the test is one AND."""
+    adj, faces, missing = K.adjacency, K.face_masks, K.missing_faces
     table = []
     for v in range(K.m):
-        pairs = []
+        vb, pairs = 1 << v, []
         for w in bits(adj[v]):
             wb = 1 << w
-            single = adj[v] & ~wb & ~common.get(1 << v | wb, 0)
-            pairs.append((wb, single, tuple(multi.get((v, w), ()))))
+            single, multi = adj[v] & ~adj[w] & ~wb, ()
+            for n in missing:
+                if n & wb and n ^ wb | vb in faces:
+                    rest = n & ~wb & ~vb
+                    if rest & rest - 1:
+                        multi += (rest,)
+                    else:
+                        single |= rest
+            pairs.append((wb, single, multi))
         table.append(tuple(pairs))
     return table
 
@@ -382,7 +362,7 @@ def _per_subset_groups(K):
     core and its faces go to Smith form, through the memo for a flag complex.
     """
     table = _domination_table(K)
-    memo = _MEMO if K.flag_check else None
+    memo = None if K.missing_faces else _MEMO
     faces = K.sorted_face_masks
     adj = K.adjacency
     full = K.full_mask

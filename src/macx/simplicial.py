@@ -39,16 +39,6 @@ def bits(mask):
         mask ^= low
 
 
-def _submasks(mask):
-    """Yield every submask of mask, including 0 and mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def _normalize_labels(vertices):
     """Turn a vertex spec (count m meaning {1..m}, or an iterable of labels)
     into a sorted tuple of distinct nonnegative integer labels."""
@@ -162,7 +152,8 @@ class SimplicialComplex:
             if 1 << mask.bit_count() > MAX_CLIQUE_FACES:  # its closure alone is too large
                 raise ValueError(f"facet of {mask.bit_count()} vertices exceeds budget "
                                  f"of {MAX_CLIQUE_FACES} faces")
-            faces.update(_submasks(mask))
+            # largest first: the set's order, and so the witness of is_flag, follows it
+            faces.update(reversed(subset_sums([1 << b for b in bits(mask)], 0)))
             if len(faces) > MAX_CLIQUE_FACES:
                 raise ValueError(f"facet closure exceeds budget of {MAX_CLIQUE_FACES} faces")
         return cls(labels, frozenset(faces))
@@ -228,8 +219,8 @@ class SimplicialComplex:
 
     def induced(self, mask):
         """The full subcomplex on a position bitmask, its vertices renumbered
-        in order. Full subcomplexes of a flag complex are flag, so that verdict
-        is passed on rather than recomputed."""
+        in order. Its missing faces are those of K inside the mask, so they
+        are handed down rather than searched for again."""
         rank = {1 << b: 1 << r for r, b in enumerate(bits(mask))}
         faces = {0: 0}
         for f in self.sorted_face_masks:  # f minus its top vertex comes first
@@ -237,25 +228,31 @@ class SimplicialComplex:
                 top = 1 << f.bit_length() - 1
                 faces[f] = faces[f ^ top] | rank[top]
         sub = SimplicialComplex(self.labels_of(mask), frozenset(faces.values()))
-        if self.flag_check:
-            object.__setattr__(sub, "flag_check", self.flag_check)
+        object.__setattr__(sub, "missing_faces", tuple(
+            sum(rank[1 << b] for b in bits(n)) for n in self.missing_faces if not n & ~mask))
         return sub
 
     @cached_property
-    def flag_check(self):
-        """Whether every missing face has exactly two vertices.
+    def missing_faces(self):
+        """The minimal non-faces of three or more vertices, as masks, fewest
+        vertices first; K is flag exactly when there are none.
 
-        Works level by level: if all cliques of the 1-skeleton with at most k
-        vertices are faces, any (k+1)-clique that is not a face is a missing
-        face of size >= 3 and is returned as the witness.
+        A level-by-level clique search from the edges that extends faces
+        only: a (k+1)-clique that is not a face but all of whose k-vertex
+        faces are is a missing face, and any missing face, less its top
+        vertex, is a face that extends to it.
         """
-        level = [f for f in self.face_masks if f.bit_count() == 2]
+        faces = self.face_masks
+        level = [f for f in faces if f.bit_count() == 2]
+        missing = []
         while level:
-            level = list(_clique_extensions(self.adjacency, level))
-            for f in level:
-                if f not in self.face_masks:
-                    return CheckResult(False, self.labels_of(f))
-        return CheckResult(True)
+            cliques, level = _clique_extensions(self.adjacency, level), []
+            for f in cliques:
+                if f in faces:
+                    level.append(f)
+                elif all(f ^ 1 << u in faces for u in bits(f)):
+                    missing.append(f)
+        return tuple(missing)
 
 
 def _maximal_masks(faces, m):
@@ -277,18 +274,15 @@ def join_factors(K):
 
     K = K_A * K_B exactly when every minimal non-face lies in A or in B, so
     the factors are the components of the hypergraph of minimal non-faces; a
-    vertex in none of them, a cone point, is a factor by itself. For a flag
-    complex the minimal non-faces are the non-edges, and the factors are the
-    components of the complement graph.
+    vertex in none of them, a cone point, is a factor by itself. The minimal
+    non-faces are the non-edges and ``K.missing_faces``; for a flag complex
+    the factors are the components of the complement graph.
     """
     full = K.full_mask
     apart = [full & ~a & ~(1 << v) for v, a in enumerate(K.adjacency)]
-    if not K.flag_check:
-        faces = K.face_masks
-        for n in _clique_extensions(K.adjacency, [f for f in faces if f.bit_count() > 1]):
-            if n not in faces and all(n ^ 1 << u in faces for u in bits(n)):
-                for v in bits(n):
-                    apart[v] |= n
+    for n in K.missing_faces:
+        for v in bits(n):
+            apart[v] |= n
     return tuple(components(apart, full))
 
 
@@ -319,8 +313,9 @@ def subset_sums(pieces, empty):
 
 def is_flag(K):
     """Whether every missing face of K has exactly two vertices; the witness
-    of a failure is a missing face (see ``SimplicialComplex.flag_check``)."""
-    return K.flag_check
+    of a failure is the first of ``K.missing_faces``, one of fewest vertices."""
+    missing = K.missing_faces
+    return CheckResult(False, K.labels_of(missing[0])) if missing else CheckResult(True)
 
 
 def _clique_extensions(adj, cliques):
@@ -339,8 +334,8 @@ def clique_complex(vertices, edges):
     """The flag complex of a graph: its faces are exactly the cliques.
 
     ``vertices`` is a count m (labels 1..m) or an iterable of labels, and
-    ``edges`` are label pairs. It is flag by construction, so that verdict is
-    set rather than recomputed, and so is its adjacency.
+    ``edges`` are label pairs. It is flag by construction, so its missing
+    faces are set to none rather than searched for, and its adjacency is set.
     """
     labels = _normalize_labels(vertices)
     pos = {v: i for i, v in enumerate(labels)}
@@ -360,7 +355,7 @@ def clique_complex(vertices, edges):
             raise ValueError(f"clique enumeration exceeds budget of {MAX_CLIQUE_FACES} faces")
         level = list(_clique_extensions(adj, level))
     K = SimplicialComplex(labels, frozenset(faces))
-    object.__setattr__(K, "flag_check", CheckResult(True))
+    object.__setattr__(K, "missing_faces", ())
     object.__setattr__(K, "adjacency", tuple(adj))
     return K
 

@@ -8,6 +8,7 @@ elimination, Euler characteristics by cell counting.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -194,6 +195,23 @@ def validate_word(K, word):
                 return False
             return ipos == (comp & -comp).bit_length() - 1
     return False
+
+
+def random_complexes(seed, count):
+    """Seeded random complexes on at most seven vertices: arbitrary facet
+    lists, so most are not flag, and clique complexes of random graphs."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        m = rng.randint(1, 7)
+        if k % 3 == 0:
+            edges = [e for e in combinations(range(1, m + 1), 2) if rng.random() < 0.5]
+            out.append(clique_complex(m, edges))
+        else:
+            facets = [rng.sample(range(1, m + 1), rng.randint(1, min(m, 4)))
+                      for _ in range(rng.randint(0, 7))]
+            out.append(SimplicialComplex.from_facets(facets, m))
+    return out
 
 
 def brute_missing_faces(K):

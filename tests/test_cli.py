@@ -195,6 +195,21 @@ def test_non_utf8_file_is_an_error(tmp_path, capsys, command):
     )
 
 
+def test_byte_order_mark_is_dropped_at_the_start_only(tmp_path, capsys):
+    sample = Path(__file__).resolve().parent.parent / "samples" / "c5.cx"
+    marked = tmp_path / "c5.cx"  # the same name: the report holds it
+    marked.write_bytes(b"\xef\xbb\xbf" + sample.read_bytes())
+    outputs = []
+    for path in (sample, marked):
+        assert main(["analyze", str(path), "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    later = tmp_path / "later_bom.cx"
+    later.write_bytes(sample.read_bytes() + b"\xef\xbb\xbffacet 1 2\n")
+    assert main(["analyze", str(later)]) == 1
+    assert capsys.readouterr() == ("", "error: line 8: unknown directive '\\ufefffacet'\n")
+
+
 # -- other subcommands ----------------------------------------------------------
 
 
@@ -449,10 +464,10 @@ def test_analyze_refuses_a_facet_past_the_face_budget(monkeypatch, tmp_path, cap
     path = tmp_path / "simplex20.cx"
     path.write_text("vertices 21\nfacet " + " ".join(map(str, range(1, 22))) + "\n")
 
-    def no_faces(mask):
+    def no_faces(pieces, empty):
         raise AssertionError("enumerated the faces of a refused facet")
 
-    monkeypatch.setattr(simplicial, "_submasks", no_faces)
+    monkeypatch.setattr(simplicial, "subset_sums", no_faces)
     assert main(["analyze", str(path)]) == 1
     assert capsys.readouterr() == (
         "", "error: facet of 21 vertices exceeds budget of 1048576 faces\n")

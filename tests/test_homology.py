@@ -11,6 +11,7 @@ from conftest import (
     euler_characteristic_real,
     join,
     projective_plane,
+    random_complexes,
     rank_mod_p,
     rank_over_q,
     simplex,
@@ -31,7 +32,6 @@ from macx.homology import (
 from macx.simplicial import (
     SimplicialComplex,
     bits,
-    clique_complex,
 )
 
 Z = HomologyGroup(1)
@@ -481,23 +481,6 @@ def test_cache_determinism():
 # -- the strong-collapse subset walk -------------------------------------------
 
 
-def _random_complexes(seed, count):
-    """Seeded random complexes on at most seven vertices: arbitrary facet
-    lists, so most are not flag, and clique complexes of random graphs."""
-    rng = random.Random(seed)
-    out = []
-    for k in range(count):
-        m = rng.randint(1, 7)
-        if k % 3 == 0:
-            edges = [e for e in combinations(range(1, m + 1), 2) if rng.random() < 0.5]
-            out.append(clique_complex(m, edges))
-        else:
-            facets = [rng.sample(range(1, m + 1), rng.randint(1, min(m, 4)))
-                      for _ in range(rng.randint(0, 7))]
-            out.append(SimplicialComplex.from_facets(facets, m))
-    return out
-
-
 def _rp2_and_join():
     two_points = SimplicialComplex.from_facets([], [7, 8])
     return [projective_plane(), join(projective_plane(), two_points)]
@@ -526,7 +509,7 @@ def _tables_by_full_subcomplexes(K):
 
 
 def test_subset_walk_agrees_with_full_subcomplex_sums():
-    corpus = _random_complexes(20261018, 150) + _rp2_and_join()
+    corpus = random_complexes(20261018, 150) + _rp2_and_join()
     corpus += [square_broken_cone(), square_partial_cone(), cycle(7)]
     torsion_seen = False
     homology.clear_cache()
@@ -551,7 +534,7 @@ def _facet_dominated(K, J, v, w):
 
 def test_domination_table_matches_facet_definition():
     corpus = [K for n in range(1, 5) for K in all_flag_complexes(n)]
-    corpus += _random_complexes(7, 60) + [projective_plane(), square_broken_cone()]
+    corpus += random_complexes(7, 60) + [projective_plane(), square_broken_cone()]
     multi_seen = False
     for K in corpus:
         table = homology._domination_table(K)
@@ -589,6 +572,6 @@ def test_memo_is_bounded_and_kept_for_flag_complexes_only(monkeypatch):
     assert homology_R_and_Z(K) == expected
     assert len(homology._MEMO) <= 5
     for seed in range(3):
-        for L in _random_complexes(seed, 12):
+        for L in random_complexes(seed, 12):
             homology_R_and_Z(L)
             assert len(homology._MEMO) <= 5

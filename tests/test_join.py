@@ -150,9 +150,11 @@ def test_induced_keeps_labels_faces_and_flag_verdict():
     assert KA.labels == (1, 2, 3, 4, 5) and KB.labels == (6, 7, 8, 9, 10, 11)
     assert KA.face_masks == cycle(5).face_masks
     assert KB.face_masks == projective_plane().face_masks
-    assert KA.flag_check and not KB.flag_check
+    # the missing faces are handed down, not searched for again
+    assert vars(KA)["missing_faces"] == ()
+    assert set(vars(KB)["missing_faces"]) == set(projective_plane().missing_faces) != set()
     L = clique_complex(4, [(1, 2), (2, 3), (3, 4)])
-    assert "flag_check" in vars(L.induced(0b0101))  # passed on, not recomputed
+    assert vars(L.induced(0b0101))["missing_faces"] == ()
 
 
 # -- the join arithmetic ---------------------------------------------------------

@@ -9,6 +9,7 @@ from conftest import (
     cycle,
     join,
     projective_plane,
+    random_complexes,
     simplex,
     square_broken_cone,
     square_cone,
@@ -208,17 +209,28 @@ def test_is_flag_examples():
 
 
 def test_is_flag_matches_brute_force_missing_faces():
-    # rebuilt from their faces, so that the level-by-level check runs rather
-    # than the verdict that clique_complex sets
-    corpus = [SimplicialComplex(K.labels, K.face_masks) for K in all_flag_complexes(4)]
-    corpus += [square_partial_cone(), square_broken_cone(), cycle(3), projective_plane()]
+    corpus = [K for n in range(1, 5) for K in all_flag_complexes(n)]
+    corpus += random_complexes(7, 60) + [projective_plane(), square_broken_cone()]
+    corpus += [square_partial_cone(), cycle(3)]
     for K in corpus:
-        missing = brute_missing_faces(K)
-        expect = all(len(f) == 2 for f in missing)
-        check = is_flag(K)
-        assert bool(check) == expect
-        if not check:
-            assert frozenset(check.witness) in set(missing)
+        expected = {f for f in brute_missing_faces(K) if len(f) >= 3}
+        # rebuilt from its faces, so that the search runs rather than the
+        # missing faces that clique_complex sets
+        searched = SimplicialComplex(K.labels, K.face_masks)
+        for L in (K, searched):
+            assert {frozenset(L.labels_of(n)) for n in L.missing_faces} == expected
+            sizes = [n.bit_count() for n in L.missing_faces]
+            assert sizes == sorted(sizes)
+            check = is_flag(L)
+            assert bool(check) == (not expected)
+            if expected:  # one of the missing faces with the fewest vertices
+                assert frozenset(check.witness) in expected
+                assert len(check.witness) == min(map(len, expected))
+        for mask in range(K.full_mask + 1):
+            sub = K.induced(mask)
+            assert "missing_faces" in vars(sub)  # handed down, not searched for
+            rebuilt = SimplicialComplex(sub.labels, sub.face_masks)
+            assert set(sub.missing_faces) == set(rebuilt.missing_faces)
 
 
 def test_clique_complex_examples():
@@ -240,10 +252,10 @@ def test_clique_complex_rejects_bad_graphs():
 def test_clique_complex_sets_a_flag_verdict_that_holds():
     for n in range(1, 6):
         for K in all_flag_complexes(n):
-            assert "flag_check" in vars(K) and K.flag_check
+            assert vars(K)["missing_faces"] == ()  # set, not searched for
             assert all(len(f) == 2 for f in brute_missing_faces(K))
             rebuilt = SimplicialComplex(K.labels, K.face_masks)
-            assert rebuilt.flag_check == K.flag_check
+            assert rebuilt.missing_faces == ()
             assert rebuilt.adjacency == K.adjacency
 
 
