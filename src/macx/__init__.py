@@ -21,7 +21,6 @@ from .homology import (
     betti_Z,
     bigraded_homology_Z,
     homology_R,
-    homology_R_and_Z,
     reduced_homology,
 )
 from .classify import (

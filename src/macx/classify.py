@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import simplicial
-from .homology import HomologyGroup, Z_GROUP, ZERO_GROUP, homology_at
+from .homology import HomologyGroup, Z_GROUP, ZERO_GROUP
 
 
 class NonFlagError(ValueError):
@@ -36,11 +36,11 @@ def _require_flag(K):
         raise NonFlagError(f"complex is not flag; missing face {check.witness}")
 
 
-def one_relator_group_homological(K, groups):
-    """Homological route: H_2(R_K), read from ``groups`` = H_*(R_K), is
-    exactly Z (rank one, no torsion)."""
+def one_relator_group_homological(K, table):
+    """Homological route: H_2(R_K), read off the bigraded table of H(Z_K),
+    is exactly Z (rank one, no torsion)."""
     _require_flag(K)
-    return homology_at(groups, 2) == Z_GROUP
+    return table.R(2) == Z_GROUP
 
 
 def one_relator_algebra_homological(K, table):
@@ -59,15 +59,13 @@ def one_relator_algebra_homological(K, table):
     return 4 <= j <= K.m and g == Z_GROUP
 
 
-def vanishing_check(K, groups, table):
-    """For a complex satisfying the cycle-join condition, verify both
-    vanishing statements on its homology H_*(R_K) and bigraded table of
-    H(Z_K): H_k(R_K) = 0 for k >= 3 and H_{-i,2j}(Z_K) = 0 whenever
-    j - i >= 3."""
+def vanishing_check(K, table):
+    """For a complex satisfying the cycle-join condition, verify that the
+    bigraded table of H(Z_K) has no nonzero entry H_{-i,2j}(Z_K) with
+    j - i >= 3. Since H_k(R_K) is the sum of the entries with j - i = k,
+    this is also the statement H_k(R_K) = 0 for k >= 3."""
     if not simplicial.classify_star_condition(K):
         raise ValueError("vanishing check applies to cycle-join complexes only")
-    if any(not g.is_zero for g in groups[3:]):
-        return False
     return all(j2 // 2 - i < 3 for (i, j2) in table.entries)
 
 
@@ -143,9 +141,9 @@ def y_space_homology(l, relator):
     return [Z_GROUP, HomologyGroup.from_divisors(l - 1, [g]), ZERO_GROUP]
 
 
-def build_report(K, groups, table):
+def build_report(K, table):
     """The verdict fields of the analysis of one complex, as plain data, read
-    off K and its homology: H_*(R_K) and the bigraded table of H(Z_K). Both
+    off K and the bigraded table of H(Z_K), which holds H_*(R_K) too. Both
     one-relator routes are evaluated: the report states the combinatorial
     verdict and files the homological ones under witnesses. The group,
     algebra and Golod verdicts are None when K is not flag, since those
@@ -178,7 +176,7 @@ def build_report(K, groups, table):
         minimally_non_golod=minimally_non_golod_flag(K),
         genus=surface_genus(star.p) if star else None,
     )
-    witnesses["h2_R"] = str(homology_at(groups, 2))
-    witnesses["one_relator_group_homological"] = one_relator_group_homological(K, groups)
+    witnesses["h2_R"] = str(table.R(2))
+    witnesses["one_relator_group_homological"] = one_relator_group_homological(K, table)
     witnesses["one_relator_algebra_homological"] = one_relator_algebra_homological(K, table)
     return report

@@ -13,7 +13,7 @@ one error boundary: any OSError or ValueError a command raises is printed as
 
 Complex file format: UTF-8 lines, ``vertices m`` header, then one
 ``facet v1 v2 ...`` line per facet; ``#`` starts a comment; vertices are
-1-based integers.
+1-based integers, written in ASCII digits.
 """
 
 from __future__ import annotations
@@ -34,6 +34,17 @@ class ComplexParseError(ValueError):
         self.line = line
 
 
+def _number(token, message, lineno):
+    """The value of a token written in ASCII digits only (``int`` also takes
+    signs, underscores and other scripts' digits); else a parse error."""
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # past int's digit limit
+            pass
+    raise ComplexParseError(message, lineno)
+
+
 def parse_complex_text(text):
     """Parse the complex text format into a SimplicialComplex."""
     vertices = None
@@ -46,18 +57,16 @@ def parse_complex_text(text):
         if parts[0] == "vertices":
             if vertices is not None:
                 raise ComplexParseError("duplicate vertices header", lineno)
-            if len(parts) != 2 or not parts[1].isdecimal():
+            if len(parts) != 2:
                 raise ComplexParseError("expected 'vertices m'", lineno)
-            vertices = int(parts[1])
+            vertices = _number(parts[1], "expected 'vertices m'", lineno)
             if vertices > MAX_VERTICES:
                 raise ComplexParseError(f"at most {MAX_VERTICES} vertices supported", lineno)
         elif parts[0] == "facet":
             if vertices is None:
                 raise ComplexParseError("facet before vertices header", lineno)
-            try:
-                entries = [int(p) for p in parts[1:]]
-            except ValueError:
-                raise ComplexParseError("facet entries must be integers", lineno) from None
+            entries = [_number(p, "facet entries must be vertex numbers in digits 0-9", lineno)
+                       for p in parts[1:]]
             for v in entries:
                 if not 1 <= v <= vertices:
                     raise ComplexParseError(f"vertex {v} out of range 1..{vertices}", lineno)
@@ -179,8 +188,8 @@ def analyze(K, name="complex", truncate=12):
     star = simplicial.classify_star_condition(K)
     M = loop_algebra.mcgavran(star.p) if star else None
     series = loop_algebra.poincare_series_closed(M, truncate) if M else None
-    groups, table = homology.homology_R_and_Z(K)
-    words = homology.homology_at(groups, 1).free_rank
+    table = homology.bigraded_homology_Z(K)
+    words = table.R(1).free_rank
     if words > generators.MAX_WORDS:
         raise ValueError(
             f"{words} generator words exceed the limit of {generators.MAX_WORDS}"
@@ -190,11 +199,11 @@ def analyze(K, name="complex", truncate=12):
         "complex": name,
         "vertices": K.m,
         "facets": [list(f) for f in K.facets()],
-        **classify.build_report(K, groups, table),
+        **classify.build_report(K, table),
         "generator_count": gens.count,
         "generators_group": gens.rendered(),
         "generators_algebra": gens.rendered(generators.ALGEBRA),
-        "H_R": _homology_list_json(groups),
+        "H_R": _homology_list_json(table.homology_R()),
         "H_Z_bigraded": _bigraded_json(table),
         "betti_Z": table.betti(),
     }

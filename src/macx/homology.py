@@ -5,12 +5,12 @@ form over arbitrary-precision integers, never modulo a prime or in floating
 point. One kernel, ``sparse_rank_invariants``, does every elimination on
 sparse rows: it removes +-1 pivots, which clears nearly all of a boundary
 matrix, and reduces what is left by least-entry division steps in the same
-loop. On top of that sit the two sweeps over full subcomplexes:
-``homology_R`` assembles H_*(R_K) for the real moment-angle complex from
-H~_{k-1}(K_J) over all vertex subsets J, and ``bigraded_homology_Z`` fills the
-bigraded table H_{-i,2j}(Z_K) of the moment-angle complex from H~_{j-i-1}(K_J)
-over subsets of size j. ``homology_R_and_Z`` returns both from a single walk
-over the subsets; callers that need both use it.
+loop. On top of that sits the walk over full subcomplexes:
+``bigraded_homology_Z`` fills the bigraded table H_{-i,2j}(Z_K) of the
+moment-angle complex from H~_{j-i-1}(K_J) over subsets of size j. It is the
+one homology result of K: since H_k(R_K) = sum over J of H~_{k-1}(K_J), the
+real moment-angle complex's homology is the sum of the table entries with
+j - i = k (``BigradedTable.R``).
 
 The subset walk visits J in increasing order and has one path for every
 complex. If some vertex v of K_J is dominated (every facet of K_J that
@@ -24,11 +24,9 @@ key, built for a core only; sweeps over all graphs on a few vertices share
 most of their cores. The memo holds at most ``MEMO_LIMIT`` entries.
 
 A join is walked one factor at a time. If K = K_A * K_B (see
-``simplicial.join_factors``), then K_J = K_{J&A} * K_{J&B}, and Milnor's
-formula H~_{n+1}(X * Y) = sum over i + j = n of H~_i(X) (x) H~_j(Y), plus the
-sum over i + j = n - 1 of Tor(H~_i(X), H~_j(Y)), gives the tally of K from
-those of the factors: the subset form of Z_{K_A * K_B} = Z_{K_A} x Z_{K_B}
-(Buchstaber and Panov, "Toric Topology", ch. 4). A walk over 2^|A| + 2^|B|
+``simplicial.join_factors``), then Z_K = Z_{K_A} x Z_{K_B} (Buchstaber and
+Panov, "Toric Topology", ch. 4), and the Kuenneth formula gives the table of
+K from those of the factors (``_product``). A walk over 2^|A| + 2^|B|
 subsets replaces one over 2^(|A| + |B|).
 """
 
@@ -400,47 +398,6 @@ def _core_key(J, adj):
     return code << MAX_VERTICES | J
 
 
-def _subset_tally(K):
-    """The tally of ``_per_subset_groups`` for K, from one walk per join factor
-    of two or more vertices: a cone point's tally is empty, and joining with
-    an empty tally changes nothing, so a simplex gets {}."""
-    factors = [mask for mask in join_factors(K) if mask & mask - 1]
-    if factors == [K.full_mask]:
-        return _per_subset_groups(K)
-    return reduce(_join_tallies, [_per_subset_groups(K.induced(mask)) for mask in factors], {})
-
-
-def _join_tallies(first, second):
-    """The tally of K_A * K_B from those of K_A and K_B. A K_J1 * K_J2 with
-    both parts nonempty has reduced homology only if both parts do."""
-    out = Counter(first)
-    out.update(second)
-    for (s1, g1), n1 in first.items():
-        for (s2, g2), n2 in second.items():
-            groups = _join_groups(g1, g2)
-            if groups:
-                out[s1 + s2, groups] += n1 * n2
-    return out
-
-
-def _join_groups(xs, ys):
-    """H~(X * Y) from H~(X) and H~(Y) of nonempty X and Y by Milnor's formula,
-    trailing zeros dropped: Z/d (x) Z/e = Tor(Z/d, Z/e) = Z/gcd(d, e)."""
-    free = [0] * (len(xs) + len(ys) + 1)
-    torsion = [[] for _ in free]
-    for i, g in enumerate(xs):
-        for j, h in enumerate(ys):
-            free[i + j + 1] += g.free_rank * h.free_rank
-            torsion[i + j + 1] += g.torsion * h.free_rank + h.torsion * g.free_rank
-            both = [gcd(d, e) for d in g.torsion for e in h.torsion]
-            torsion[i + j + 1] += both
-            torsion[i + j + 2] += both
-    groups = [HomologyGroup.from_divisors(f, t) for f, t in zip(free, torsion)]
-    while groups and groups[-1].is_zero:
-        groups.pop()
-    return tuple(groups)
-
-
 def _position(groups, distinct, index):
     i = index.get(groups)
     if i is None:
@@ -449,37 +406,14 @@ def _position(groups, distinct, index):
     return i
 
 
-def _sum_groups(tally, key):
-    """The tallied reduced groups summed into one group per place: the group
-    H~_deg(K_J) of each tally entry goes to ``key(|J|, deg)``."""
-    acc = {}
-    for (size, groups), n in tally.items():
-        for deg, g in enumerate(groups):
-            if not g.is_zero:
-                slot = acc.setdefault(key(size, deg), [0, []])
-                slot[0] += n * g.free_rank
-                slot[1] += g.torsion * n
-    return {place: HomologyGroup.from_divisors(f, t) for place, (f, t) in acc.items()}
-
-
-def _assemble_R(K, tally):
-    sums = _sum_groups(tally, lambda size, deg: deg + 1)
-    sums[0] = Z_GROUP  # empty subset: H~_{-1} = Z lands in degree 0
-    return [sums.get(k, ZERO_GROUP) for k in range(K.dim + 2)]
-
-
-def homology_R(K):
-    """H_k(R_K) for 0 <= k <= dim K + 1 via the subset decomposition
-    H_k = direct sum over J of H~_{k-1}(K_J)."""
-    return _assemble_R(K, _subset_tally(K))
-
-
 @dataclass
 class BigradedTable:
     """Bigraded homology of Z_K: nonzero groups keyed by (i, 2j), the group
-    sitting in bidegree (-i, 2j). Total degree k = 2j - i."""
+    sitting in bidegree (-i, 2j), for a complex of dimension ``dim``. Total
+    degree k = 2j - i."""
 
     entries: dict
+    dim: int
 
     def entry(self, i, j2):
         return self.entries.get((i, j2), ZERO_GROUP)
@@ -495,30 +429,66 @@ class BigradedTable:
             out[j2 - i] += g.free_rank
         return out
 
+    def R(self, k):
+        """H_k(R_K), the direct sum of the entries with j - i = k: both are
+        sums of H~_{k-1}(K_J), over all J and over |J| = j."""
+        groups = [g for (i, j2), g in self.entries.items() if j2 // 2 - i == k]
+        return HomologyGroup.from_divisors(sum(g.free_rank for g in groups),
+                                           [d for g in groups for d in g.torsion])
 
-def _assemble_Z(K, tally):
-    entries = _sum_groups(tally, lambda j, deg: (j - deg - 1, 2 * j))
-    entries[(0, 0)] = Z_GROUP  # empty subset
-    return BigradedTable(entries)
+    def homology_R(self):
+        """H_k(R_K) for 0 <= k <= dim K + 1."""
+        return [self.R(k) for k in range(self.dim + 2)]
+
+
+def _assemble_Z(tally):
+    """The table entries of a tally: H~_deg(K_J) goes to (|J| - deg - 1, 2|J|),
+    and the empty subset's H~_{-1} = Z to (0, 0)."""
+    acc = {(0, 0): [1, []]}
+    for (j, groups), n in tally.items():
+        for deg, g in enumerate(groups):
+            if not g.is_zero:
+                slot = acc.setdefault((j - deg - 1, 2 * j), [0, []])
+                slot[0] += n * g.free_rank
+                slot[1] += g.torsion * n
+    return {place: HomologyGroup.from_divisors(f, t) for place, (f, t) in acc.items()}
+
+
+def _product(first, second):
+    """The entries of Z_K x Z_L from those of Z_K and Z_L by the Kuenneth
+    formula: g (x) h lands at (i1 + i2, 2j1 + 2j2) and Tor(g, h), one total
+    degree higher, at (i1 + i2 - 1, 2j1 + 2j2); Z/d (x) Z/e = Tor(Z/d, Z/e)
+    = Z/gcd(d, e)."""
+    acc = {}
+    for (i1, j1), g in first.items():
+        for (i2, j2), h in second.items():
+            tor = [gcd(d, e) for d in g.torsion for e in h.torsion]
+            slot = acc.setdefault((i1 + i2, j1 + j2), [0, []])
+            slot[0] += g.free_rank * h.free_rank
+            slot[1] += g.torsion * h.free_rank + h.torsion * g.free_rank
+            slot[1] += tor
+            if tor:
+                acc.setdefault((i1 + i2 - 1, j1 + j2), [0, []])[1].extend(tor)
+    out = {place: HomologyGroup.from_divisors(f, t) for place, (f, t) in acc.items()}
+    return {place: g for place, g in out.items() if not g.is_zero}
 
 
 def bigraded_homology_Z(K):
-    """The table H_{-i,2j}(Z_K) = direct sum over |J| = j of H~_{j-i-1}(K_J)."""
-    return _assemble_Z(K, _subset_tally(K))
+    """The table H_{-i,2j}(Z_K) = direct sum over |J| = j of H~_{j-i-1}(K_J),
+    from one walk per join factor of two or more vertices: Z_{K_A * K_B} =
+    Z_{K_A} x Z_{K_B}, and a cone point's Z_K is a disc, so a simplex gets
+    the unit table {(0, 0): Z}."""
+    tables = [_assemble_Z(_per_subset_groups(K.induced(mask)))
+              for mask in join_factors(K) if mask & mask - 1]
+    return BigradedTable(reduce(_product, tables) if tables else {(0, 0): Z_GROUP}, K.dim)
 
 
-def homology_R_and_Z(K):
-    """H_*(R_K) and the bigraded table of H(Z_K), from one walk over the full
-    subcomplexes of each join factor."""
-    tally = _subset_tally(K)
-    return _assemble_R(K, tally), _assemble_Z(K, tally)
+def homology_R(K):
+    """H_k(R_K) for 0 <= k <= dim K + 1 via the subset decomposition
+    H_k = direct sum over J of H~_{k-1}(K_J)."""
+    return bigraded_homology_Z(K).homology_R()
 
 
 def betti_Z(K):
     """Betti numbers of Z_K, from the bigraded table via k = 2j - i."""
     return bigraded_homology_Z(K).betti()
-
-
-def homology_at(groups, k):
-    """Group in degree k of a homology list, zero beyond its length."""
-    return groups[k] if 0 <= k < len(groups) else ZERO_GROUP

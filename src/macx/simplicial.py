@@ -152,8 +152,7 @@ class SimplicialComplex:
             if 1 << mask.bit_count() > MAX_CLIQUE_FACES:  # its closure alone is too large
                 raise ValueError(f"facet of {mask.bit_count()} vertices exceeds budget "
                                  f"of {MAX_CLIQUE_FACES} faces")
-            # largest first: the set's order, and so the witness of is_flag, follows it
-            faces.update(reversed(subset_sums([1 << b for b in bits(mask)], 0)))
+            faces.update(subset_sums([1 << b for b in bits(mask)], 0))
             if len(faces) > MAX_CLIQUE_FACES:
                 raise ValueError(f"facet closure exceeds budget of {MAX_CLIQUE_FACES} faces")
         return cls(labels, frozenset(faces))
@@ -220,7 +219,10 @@ class SimplicialComplex:
     def induced(self, mask):
         """The full subcomplex on a position bitmask, its vertices renumbered
         in order. Its missing faces are those of K inside the mask, so they
-        are handed down rather than searched for again."""
+        are handed down rather than searched for again. On the full mask that
+        is K itself, with the properties it has already computed."""
+        if mask == self.full_mask:
+            return self
         rank = {1 << b: 1 << r for r, b in enumerate(bits(mask))}
         faces = {0: 0}
         for f in self.sorted_face_masks:  # f minus its top vertex comes first
@@ -234,8 +236,9 @@ class SimplicialComplex:
 
     @cached_property
     def missing_faces(self):
-        """The minimal non-faces of three or more vertices, as masks, fewest
-        vertices first; K is flag exactly when there are none.
+        """The minimal non-faces of three or more vertices, as masks, sorted
+        by vertex count and then by position tuple, so that the order is a
+        function of the complex; K is flag exactly when there are none.
 
         A level-by-level clique search from the edges that extends faces
         only: a (k+1)-clique that is not a face but all of whose k-vertex
@@ -252,7 +255,7 @@ class SimplicialComplex:
                     level.append(f)
                 elif all(f ^ 1 << u in faces for u in bits(f)):
                     missing.append(f)
-        return tuple(missing)
+        return tuple(sorted(missing, key=lambda n: (n.bit_count(), tuple(bits(n)))))
 
 
 def _maximal_masks(faces, m):

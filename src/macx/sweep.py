@@ -23,7 +23,6 @@ from itertools import combinations, permutations
 from math import factorial
 
 from . import classify, homology, simplicial
-from .homology import homology_at
 from .simplicial import bits, subset_sums
 
 CHECK_GROUP = "thm3"          # H_2(R_K) = Z  <=>  cycle-join condition
@@ -274,28 +273,27 @@ def _check_complex(cfg, n, mask, tallies, counterexamples):
     tallies["star_matches"] += star.matches
     tallies["chordal"] += chordal
 
-    needs_homology = cfg.checks & {CHECK_GROUP, CHECK_ALGEBRA, CHECK_VANISHING}
-    groups = table = None
-    if needs_homology:
-        groups, table = homology.homology_R_and_Z(K)
+    table = (homology.bigraded_homology_Z(K)
+             if cfg.checks & {CHECK_GROUP, CHECK_ALGEBRA, CHECK_VANISHING} else None)
 
     def report(check, **details):
         payload = {
             "star": {"matches": star.matches, "p": star.p, "cone": list(star.cone_vertices)},
             "chordal": chordal,
         }
-        if groups is not None:
-            payload["H_R"] = [[k, g.free_rank, list(g.torsion)] for k, g in enumerate(groups)]
+        if table is not None:
+            payload["H_R"] = [[k, g.free_rank, list(g.torsion)]
+                              for k, g in enumerate(table.homology_R())]
             payload["bigraded"] = [[i, j2, g.free_rank, list(g.torsion)]
                                    for (i, j2), g in table.items_sorted()]
         payload.update(details)
         counterexamples.append(Counterexample(n, mask, check, K.facets(), payload))
 
     if CHECK_GROUP in cfg.checks:
-        homological = classify.one_relator_group_homological(K, groups)
+        homological = classify.one_relator_group_homological(K, table)
         tallies["h2_exactly_Z"] += homological
         if homological != star.matches:
-            report(CHECK_GROUP, h2=str(homology_at(groups, 2)))
+            report(CHECK_GROUP, h2=str(table.R(2)))
 
     if CHECK_ALGEBRA in cfg.checks:
         row_ok = classify.one_relator_algebra_homological(K, table)
@@ -304,7 +302,7 @@ def _check_complex(cfg, n, mask, tallies, counterexamples):
             report(CHECK_ALGEBRA, row_verdict=row_ok)
 
     if CHECK_VANISHING in cfg.checks and star.matches:
-        if not classify.vanishing_check(K, groups, table):
+        if not classify.vanishing_check(K, table):
             report(CHECK_VANISHING)
 
     if CHECK_FLAGMNG in cfg.checks:

@@ -2,16 +2,17 @@
 
 The oracle functions here deliberately avoid the code paths they are used to
 check: components by union-find or breadth-first search, missing faces by
-subset scan, matrix ranks by field elimination, Smith forms by dense textbook
-elimination, Euler characteristics by cell counting.
+subset scan, matrix ranks by dense row elimination, Smith forms by dense
+textbook elimination, Euler characteristics by cell counting, and the chains
+of R_K by its cubical cells.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from macx import sweep
 from macx.simplicial import MAX_VERTICES, SimplicialComplex, bits, clique_complex
@@ -301,6 +302,38 @@ def boundary_matrix(K, k):
     return IntMatrix.from_rows(rows)
 
 
+def real_moment_angle_boundaries(K):
+    """The cubical chain complex of R_K inside [-1, 1]^m, which shares no code
+    with the subset walk: one k-cell (s, e) per face s of k vertices and sign
+    vector e on the vertices outside s, with e kept as the mask of its +1
+    coordinates, and d(s, e) = sum over the vertices v_r of s, ascending, of
+    (-1)^r ((s - v_r, e with v_r at +1) - (s - v_r, e with v_r at -1)).
+    Returns the cell counts by dimension and, for k >= 1, the dense matrix of
+    the boundary of the k-cells as a list of rows."""
+    full = K.full_mask
+    cells = {}
+    for s in K.face_masks:
+        rest = full & ~s
+        plus = rest
+        while True:  # every submask of rest
+            cells.setdefault(s.bit_count(), []).append((s, plus))
+            if not plus:
+                break
+            plus = (plus - 1) & rest
+    matrices = {}
+    for k in range(1, max(cells) + 1):
+        index = {c: i for i, c in enumerate(cells[k - 1])}
+        rows = [[0] * len(cells[k]) for _ in cells[k - 1]]
+        for col, (s, plus) in enumerate(cells[k]):
+            for r, v in enumerate(bits(s)):
+                sign = -1 if r % 2 else 1
+                t = s & ~(1 << v)
+                rows[index[t, plus | 1 << v]][col] += sign
+                rows[index[t, plus]][col] -= sign
+        matrices[k] = rows
+    return {k: len(c) for k, c in cells.items()}, matrices
+
+
 def euler_characteristic_real(K):
     """Euler characteristic of the real moment-angle complex by counting its
     cubical cells: a face I contributes 2^(m-|I|) cells of dimension |I|."""
@@ -331,24 +364,27 @@ def rank_mod_p(rows, p):
 
 
 def rank_over_q(rows):
-    """Rank over the rationals, by exact fraction elimination."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+    """Rank over the rationals, by exact row echelon elimination on integer
+    rows: a row with b below the pivot a becomes a * row - b * pivot row,
+    divided by the gcd of its entries."""
+    live = [list(row) for row in rows if any(row)]
     rank = 0
-    cols = len(mat[0]) if mat else 0
-    row = 0
-    for col in range(cols):
-        piv = next((r for r in range(row, len(mat)) if mat[r][col]), None)
-        if piv is None:
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((row for row in live if row[col]), None)
+        if pivot is None:
             continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        lead = mat[row][col]
-        mat[row] = [x / lead for x in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[row])]
+        live.remove(pivot)
+        a, rest = pivot[col], []
+        for row in live:
+            if b := row[col]:
+                row = [a * x - b * y for x, y in zip(row, pivot)]
+                g = gcd(*row)
+                if not g:
+                    continue
+                row = [x // g for x in row]
+            rest.append(row)
+        live = rest
         rank += 1
-        row += 1
     return rank
 
 

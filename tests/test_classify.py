@@ -25,7 +25,7 @@ from macx.classify import (
     vanishing_check,
     y_space_homology,
 )
-from macx.homology import BigradedTable, HomologyGroup, homology_R, homology_R_and_Z
+from macx.homology import BigradedTable, HomologyGroup, bigraded_homology_Z, homology_R
 from macx.simplicial import (
     SimplicialComplex,
     clique_complex,
@@ -59,23 +59,24 @@ def test_one_relator_group_routes():
     assert not classify_star_condition(square_partial_cone())
     assert not classify_star_condition(simplex(3))
     for K, verdict in [(square_cone(), True), (square_partial_cone(), False), (cycle(6), True)]:
-        assert one_relator_group_homological(K, homology_R(K)) == verdict
-    # the verdict reads the groups it is handed
-    assert not one_relator_group_homological(square_cone(), [Z, ZERO, HomologyGroup(2)])
+        assert one_relator_group_homological(K, bigraded_homology_Z(K)) == verdict
+    # the verdict reads the table it is handed: H_2(R_K) = Z^2 at j - i = 2
+    table = BigradedTable({(0, 0): Z, (1, 6): HomologyGroup(2)}, 2)
+    assert not one_relator_group_homological(square_cone(), table)
 
 
 def test_one_relator_algebra_route():
     for K, verdict in [(cycle(5), True), (square_partial_cone(), False),
                        *((simplex(q), False) for q in range(0, 3))]:
-        assert one_relator_algebra_homological(K, homology_R_and_Z(K)[1]) == verdict
-    assert not one_relator_algebra_homological(cycle(5), BigradedTable({}))
+        assert one_relator_algebra_homological(K, bigraded_homology_Z(K)) == verdict
+    assert not one_relator_algebra_homological(cycle(5), BigradedTable({}, 1))
 
 
 def test_classifiers_reject_non_flag():
     bad = square_broken_cone()
-    groups, table = homology_R_and_Z(bad)
+    table = bigraded_homology_Z(bad)
     for call in [
-        lambda: one_relator_group_homological(bad, groups),
+        lambda: one_relator_group_homological(bad, table),
         lambda: one_relator_algebra_homological(bad, table),
         lambda: minimally_non_golod_flag(bad),
     ]:
@@ -85,11 +86,13 @@ def test_classifiers_reject_non_flag():
 
 def test_vanishing_check():
     for K in [cycle(4), cycle(7), cone_join(5, 1)]:
-        assert vanishing_check(K, *homology_R_and_Z(K))
-    groups, table = homology_R_and_Z(cycle(4))
-    assert not vanishing_check(cycle(4), [*groups, Z], table)   # a nonzero H_3(R_K)
+        assert vanishing_check(K, bigraded_homology_Z(K))
+    table = bigraded_homology_Z(cycle(4))
+    # an entry at j - i = 3, which is also a nonzero H_3(R_K)
+    raised = BigradedTable({**table.entries, (1, 8): Z}, table.dim)
+    assert raised.R(3) == Z and not vanishing_check(cycle(4), raised)
     with pytest.raises(ValueError):
-        vanishing_check(square_partial_cone(), *homology_R_and_Z(square_partial_cone()))
+        vanishing_check(square_partial_cone(), bigraded_homology_Z(square_partial_cone()))
 
 
 def test_golod_and_minimally_non_golod():
@@ -200,7 +203,7 @@ def test_y_space_rejects_bad_input():
 
 
 def test_build_report_flag_case():
-    report = build_report(square_cone(), *homology_R_and_Z(square_cone()))
+    report = build_report(square_cone(), bigraded_homology_Z(square_cone()))
     assert report["flag"] and not report["chordal"]
     assert report["star_condition"] == {
         "matches": True, "p": 4, "cone_vertices": [5], "reason": None}
@@ -217,7 +220,7 @@ def test_build_report_flag_case():
 
 def test_build_report_consistency_invariants():
     for K in [cycle(5), square_cone(), square_partial_cone(), simplex(2), tree_complex()]:
-        report = build_report(K, *homology_R_and_Z(K))
+        report = build_report(K, bigraded_homology_Z(K))
         assert report["free_group"] == report["golod"] == report["chordal"]
         assert report["free_group"] == bool(is_chordal(K))
         if report["one_relator_group"]:
@@ -228,7 +231,7 @@ def test_build_report_consistency_invariants():
 
 
 def test_build_report_non_flag():
-    report = build_report(square_broken_cone(), *homology_R_and_Z(square_broken_cone()))
+    report = build_report(square_broken_cone(), bigraded_homology_Z(square_broken_cone()))
     assert not report["flag"]
     for key in ("free_group", "one_relator_group", "one_relator_algebra",
                 "golod", "minimally_non_golod", "genus"):

@@ -1,6 +1,11 @@
+import io
 import json
+import os
+import subprocess
 import sys
+import tempfile
 import tracemalloc
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -10,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import component_search_words, cycle, nested_commutator_text, simplex
 from macx import cli, generators, homology, loop_algebra, simplicial
 from macx.cli import ComplexParseError, main, parse_complex_text
-from macx.simplicial import CheckResult
+from macx.simplicial import CheckResult, SimplicialComplex
 
 PARTIAL_CONE = """\
 # 4-cycle with an apex over three of its vertices
@@ -79,6 +84,40 @@ def test_parse_errors_carry_line_numbers():
     # '\u00b2'.isdigit() holds, but int() rejects a superscript two
     with pytest.raises(ComplexParseError, match="expected 'vertices m'"):
         parse_complex_text("vertices \u00b2\nfacet 1 2\n")
+    # numbers are ASCII digits only: int() would read "1_0 +1 \u0663" as 10, 1 and 3
+    many_digits = "1" * 5000  # past the digit limit of int()
+    for text in ["vertices 12\nfacet 1_0 +1 \u0663\n", "vertices 3\nfacet +1\n",
+                 "vertices 3\nfacet -1\n", "vertices 3\nfacet \u0663\n",
+                 f"vertices 3\nfacet {many_digits}\n"]:
+        with pytest.raises(ComplexParseError, match="line 2: facet entries must be"):
+            parse_complex_text(text)
+    for text in ["vertices +3\n", "vertices \u0663\n", "vertices 1_2\n", "vertices 3.0\n",
+                 f"vertices {many_digits}\n"]:
+        with pytest.raises(ComplexParseError, match="line 1: expected 'vertices m'"):
+            parse_complex_text(text)
+    assert (3, 10) in parse_complex_text("vertices 012\nfacet 010 03\n").facets()
+
+
+TOKENS = st.one_of(st.integers(-3, 30).map(str), st.text(max_size=4),
+                   st.sampled_from(["1_0", "+1", "\u0663", "\u00b2", "00", "1e3", "\ufeff1"]))
+LINES = st.one_of(
+    st.text(max_size=12),
+    st.builds(lambda head, tokens: " ".join([head, *tokens]),
+              st.sampled_from(["vertices", "facet", "#", "facet#", " facet"]),
+              st.lists(TOKENS, max_size=5)),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.builds(lambda head, lines: "\n".join([head, *lines]),
+                 st.sampled_from(["", "vertices 9", "vertices 24", "vertices 0"]),
+                 st.lists(LINES, max_size=8)))
+def test_parse_fuzz_gives_a_complex_or_a_value_error(text):
+    try:
+        K = parse_complex_text(text)
+    except ValueError:
+        return
+    assert isinstance(K, SimplicialComplex)
 
 
 def test_parse_empty_facet_list_gives_points():
@@ -171,12 +210,75 @@ def test_analyze_refuses_long_cycle_before_walking_subsets(monkeypatch, tmp_path
     def no_walk(*args):
         raise AssertionError("walked the subsets of a refused complex")
 
-    monkeypatch.setattr(homology, "homology_R_and_Z", no_walk)
+    monkeypatch.setattr(homology, "bigraded_homology_Z", no_walk)
     monkeypatch.setattr(generators, "enumerate_generators", no_walk)
     assert main(["analyze", str(path)]) == 1
     assert capsys.readouterr().err == (
         "error: cycle length 9 gives more than 4 sphere-product summands\n"
     )
+
+
+def stdout_of(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+SPELLING_COMMANDS = (["analyze", "{}", "--json"], ["generators", "{}", "--json"],
+                     ["generators", "{}", "--json", "--kind", "algebra"])
+
+
+def complex_text(m, facets):
+    return f"vertices {m}\n" + "".join(f"facet {' '.join(map(str, f))}\n" for f in facets)
+
+
+@st.composite
+def respelled_facet_lists(draw):
+    """A facet list on 1..m and another spelling of the same complex: the
+    facets shuffled, each one's vertices shuffled, some facets repeated and
+    some faces of facets added as facets. From nine vertices on, the masks
+    of the faces collide in a set's hash table, so that the set's order
+    follows insertion order."""
+    m = draw(st.integers(6, 11))
+    facet = st.lists(st.integers(1, m), min_size=2, max_size=4, unique=True)
+    facets = draw(st.lists(facet, min_size=1, max_size=14))
+    extra = [draw(st.lists(st.sampled_from(f), min_size=1, unique=True))
+             for f in draw(st.lists(st.sampled_from(facets), max_size=4))]
+    respelled = draw(st.permutations([draw(st.permutations(f)) for f in facets + extra]))
+    return m, facets, respelled
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(respelled_facet_lists())
+def test_output_is_a_function_of_the_complex(spelled):
+    m, *spellings = spelled
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "k.cx")
+        for facets in spellings:
+            Path(path).write_text(complex_text(m, facets))
+            outputs.append([stdout_of([a.format(path) for a in argv])
+                            for argv in SPELLING_COMMANDS])
+    assert outputs[0] == outputs[1]
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    rp2 = [(1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 4, 6),
+           (2, 3, 4), (2, 3, 6), (2, 4, 5), (3, 5, 6), (4, 5, 6)]
+    path = tmp_path / "rp2.cx"
+    path.write_text(complex_text(6, [f[::-1] for f in reversed(rp2)]))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    runs = []
+    for seed in ("0", "7"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed,
+               "PYTHONDONTWRITEBYTECODE": "1"}
+        runs.append([subprocess.run([sys.executable, "-m", "macx.cli",
+                                     *[a.format(path) for a in argv]],
+                                    env=env, capture_output=True, check=True).stdout
+                     for argv in SPELLING_COMMANDS])
+    assert runs[0] == runs[1]
+    assert json.loads(runs[0][0])["witnesses"]["missing_face"] == [1, 2, 3]
 
 
 def test_analyze_missing_file():
@@ -402,13 +504,20 @@ MANY_TWOS = "4:" + ",".join(["2"] * 30_000)   # coefficients past 4,300 digits a
     ["analyze", "{pcone}", "--truncate", "-1", "--json"],
     ["analyze", "{letter}"],
     ["yspace", "-l", "2", "--word", "0"],
+    ["analyze", "{underscore}", "--json"],            # int() reads 1_0 +1 and an Arabic-Indic 3
+    ["generators", "{underscore}"],
+    ["analyze", "{plus}"],
+    ["analyze", "{arabic}", "--json"],
 ])
 def test_every_failure_is_one_error_line(monkeypatch, tmp_path, capsys, argv):
     """Bad input and over-limit requests end in ``error: ...`` and exit 1 at
     the one boundary in ``main``, never in a traceback."""
     files = {"c8": EIGHT_CYCLE.encode(), "pcone": PARTIAL_CONE.encode(),
              "bad": b"vertices 3\nfacet 1 7\n", "letter": b"vertices 3\nfacet 1 x\n",
-             "latin1": b"vertices 3\nfacet 1 2 \xff\n"}
+             "latin1": b"vertices 3\nfacet 1 2 \xff\n",
+             "underscore": "vertices 12\nfacet 1_0 +1 \u0663\n".encode(),
+             "plus": b"vertices +3\nfacet 1 2\n",
+             "arabic": "vertices \u0663\nfacet 1 2\n".encode()}
     paths = {name: str(tmp_path / f"{name}.cx") for name in [*files, "missing"]}
     for name, data in files.items():
         (tmp_path / f"{name}.cx").write_bytes(data)

@@ -19,7 +19,7 @@ from conftest import (
 from macx import homology
 from macx.classify import surface_genus
 from macx.generators import ALGEBRA, GROUP, enumerate_generators, generator_count
-from macx.homology import homology_at, homology_R
+from macx.homology import bigraded_homology_Z, homology_R
 from macx.simplicial import SimplicialComplex, clique_complex
 
 
@@ -153,7 +153,7 @@ def test_walk_matches_component_search_on_drawn_complexes(K):
 def assert_count_is_rank_h1(K):
     """The word count against its homological reading: one word per (J,
     component of K_J without max J) is rank H_1(R_K) = sum_J rank H~_0(K_J)."""
-    assert generator_count(K) == homology_at(homology_R(K), 1).free_rank
+    assert generator_count(K) == bigraded_homology_Z(K).R(1).free_rank
 
 
 def test_count_is_rank_h1_on_graph_classes_up_to_six_vertices():

@@ -14,6 +14,7 @@ from conftest import (
     random_complexes,
     rank_mod_p,
     rank_over_q,
+    real_moment_angle_boundaries,
     simplex,
     smith_normal_form,
     square_broken_cone,
@@ -26,7 +27,6 @@ from macx.homology import (
     betti_Z,
     bigraded_homology_Z,
     homology_R,
-    homology_R_and_Z,
     reduced_homology,
 )
 from macx.simplicial import (
@@ -516,13 +516,67 @@ def test_subset_walk_agrees_with_full_subcomplex_sums():
     for K in corpus:
         expected_R, expected_Z = _tables_by_full_subcomplexes(K)
         for _ in range(2):  # the second walk of a flag complex reads the memo
-            groups, table = homology_R_and_Z(K)
-            assert groups == expected_R, K
+            table = bigraded_homology_Z(K)
+            assert table.homology_R() == expected_R, K
             assert table.entries == expected_Z, K
-        torsion_seen |= any(g.torsion for g in groups)
+        torsion_seen |= any(g.torsion for g in table.homology_R())
     assert torsion_seen
     # RP^2_6 and its suspension: Z/2 in H_*(R_K)
-    assert homology_R_and_Z(projective_plane())[0][2].torsion == (2,)
+    assert bigraded_homology_Z(projective_plane()).R(2).torsion == (2,)
+
+
+# -- H_*(R_K) against the cubical chain complex --------------------------------
+
+
+def _cubical_betti(K, rank):
+    """Betti numbers of R_K over a field, from its cubical chain complex and
+    a rank function over that field."""
+    counts, matrices = real_moment_angle_boundaries(K)
+    ranks = {k: rank(rows) for k, rows in matrices.items()}
+    return [counts[k] - ranks.get(k, 0) - ranks.get(k + 1, 0) for k in range(len(counts))]
+
+
+def _betti_from_groups(groups, p):
+    """Betti numbers over Q (p = 0) or F_p of a space with the given integral
+    homology: b_k = rank H_k + t_p(H_k) + t_p(H_(k-1)), where t_p counts the
+    cyclic summands whose order p divides."""
+    def t(g):
+        return sum(1 for d in g.torsion if p and d % p == 0)
+    return [g.free_rank + t(g) + (t(groups[k - 1]) if k else 0) for k, g in enumerate(groups)]
+
+
+FIELDS = [(0, rank_over_q), (2, lambda rows: rank_mod_p(rows, 2)),
+          (3, lambda rows: rank_mod_p(rows, 3))]
+
+
+def _convolve(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_homology_R_matches_the_cubical_chain_complex():
+    corpus = [K for K in random_complexes(20261020, 60) if K.m <= 6]
+    corpus += [projective_plane(), square_broken_cone(), cycle(4)]
+    for K in corpus:
+        groups = homology_R(K)
+        for p, rank in FIELDS:
+            assert _cubical_betti(K, rank) == _betti_from_groups(groups, p), (K, p)
+    assert homology_R(projective_plane())[2].torsion == (2,)
+    # R_{X * Y} = R_X x R_Y, and over a field the Kuenneth formula multiplies
+    # Poincare polynomials: this pins the torsion of the product of tables
+    rp2 = projective_plane()
+    rp2_again = SimplicialComplex.from_facets([[v + 6 for v in f] for f in rp2.facets()],
+                                              range(7, 13))
+    four = SimplicialComplex.from_facets([[13, 14], [14, 15], [15, 16], [16, 13]], range(13, 17))
+    for X, Y in [(rp2, rp2_again), (join(rp2, rp2_again), four)]:
+        groups = homology_R(join(X, Y))
+        assert any(g.torsion for g in groups)
+        for p, rank in FIELDS:
+            assert _convolve(*(_betti_from_groups(homology_R(L), p) for L in (X, Y))) == (
+                _betti_from_groups(groups, p)), (p,)
 
 
 def _facet_dominated(K, J, v, w):
@@ -561,17 +615,17 @@ def test_domination_table_matches_facet_definition():
 
 def test_memo_is_bounded_and_kept_for_flag_complexes_only(monkeypatch):
     homology.clear_cache()
-    homology_R_and_Z(projective_plane())
-    homology_R_and_Z(square_broken_cone())
+    bigraded_homology_Z(projective_plane())
+    bigraded_homology_Z(square_broken_cone())
     assert len(homology._MEMO) == 0  # not flag: K_J is not fixed by its graph
     K = cycle(9)  # its cores: the 75 nonempty independent sets and K itself
-    expected = homology_R_and_Z(K)
+    expected = bigraded_homology_Z(K)
     assert len(homology._MEMO) == 76 <= homology.MEMO_LIMIT
     monkeypatch.setattr(homology, "MEMO_LIMIT", 5)
     homology.clear_cache()
-    assert homology_R_and_Z(K) == expected
+    assert bigraded_homology_Z(K) == expected
     assert len(homology._MEMO) <= 5
     for seed in range(3):
         for L in random_complexes(seed, 12):
-            homology_R_and_Z(L)
+            bigraded_homology_Z(L)
             assert len(homology._MEMO) <= 5

@@ -1,6 +1,6 @@
 """The join split of the subset walks: ``join_factors`` against face counts,
-the Milnor join arithmetic, and the factored R and Z tables and generator
-word codes against the walks over the whole complex."""
+the Kuenneth product of bigraded tables, and the factored tables and
+generator word codes against the walks over the whole complex."""
 
 import sys
 from itertools import combinations
@@ -18,7 +18,7 @@ from conftest import (
     square_broken_cone,
 )
 from macx import generators, homology
-from macx.homology import HomologyGroup, homology_R_and_Z, reduced_homology
+from macx.homology import BigradedTable, HomologyGroup, bigraded_homology_Z
 from macx.simplicial import (
     SimplicialComplex,
     classify_star_condition,
@@ -55,15 +55,13 @@ def rp2_join_rp2():
 
 
 def unfactored(K):
-    """H_*(R_K) and the bigraded entries of H(Z_K) from one walk over all the
-    subsets of K, with no join split."""
-    tally = homology._per_subset_groups(K)
-    return homology._assemble_R(K, tally), homology._assemble_Z(K, tally).entries
+    """The bigraded table of H(Z_K) from one walk over all the subsets of K,
+    with no join split."""
+    return BigradedTable(homology._assemble_Z(homology._per_subset_groups(K)), K.dim)
 
 
 def assert_matches_unfactored(K):
-    groups, table = homology_R_and_Z(K)
-    assert (groups, table.entries) == unfactored(K), K
+    assert bigraded_homology_Z(K) == unfactored(K), K
     unsplit = generators._factor_codes(K.adjacency, list(range(K.m)), K.m) if K.m else []
     assert list(generators._word_codes(K)) == list(unsplit), K
 
@@ -157,40 +155,46 @@ def test_induced_keeps_labels_faces_and_flag_verdict():
     assert vars(L.induced(0b0101))["missing_faces"] == ()
 
 
-# -- the join arithmetic ---------------------------------------------------------
+# -- the Kuenneth product of tables ------------------------------------------------
 
 
 def G(free=0, *torsion):
     return HomologyGroup.from_divisors(free, torsion)
 
 
-def test_join_groups_tensor_and_tor():
-    join_groups = homology._join_groups
-    # Z/4 (x) Z/6 = Tor(Z/4, Z/6) = Z/2, in degrees 0 + 0 + 1 and 0 + 0 + 2
-    assert join_groups((G(0, 4),), (G(0, 6),)) == (G(), G(0, 2), G(0, 2))
-    assert join_groups((G(0, 2),), (G(0, 3),)) == ()
-    # so a pair of subsets with coprime torsion adds no entry to the joined tally
-    xs, ys = (G(), G(0, 2)), (G(), G(0, 3))
-    assert join_groups(xs, ys) == ()
-    assert homology._join_tallies({(3, xs): 2}, {(4, ys): 5}) == {(3, xs): 2, (4, ys): 5}
-    assert join_groups((G(1),), (G(0, 3),)) == (G(), G(0, 3))
-    assert join_groups((G(2),), (G(3),)) == (G(), G(6))
-    assert join_groups((G(1, 2),), (G(0, 2),)) == (G(), G(0, 2, 2), G(0, 2))
-    # S^1 * S^2 = S^4, and trailing zero groups are dropped
-    assert join_groups((G(), G(1)), (G(), G(), G(1), G())) == (G(),) * 4 + (G(1),)
-    # RP^2 * RP^2: Z/2 (x) Z/2 in degree 3, Tor in degree 4
-    rp2 = tuple(reduced_homology(projective_plane()))
-    assert join_groups(rp2, rp2) == (G(), G(), G(), G(0, 2), G(0, 2))
+def unit_and(*entries):
+    """The entries of a table: the empty subset's Z at (0, 0), then the
+    given (place, group) pairs."""
+    return {(0, 0): G(1), **dict(entries)}
+
+
+def test_product_tensor_and_tor():
+    product = homology._product
+    x, y = unit_and(((4, 12), G(0, 4))), unit_and(((4, 12), G(0, 6)))
+    # Z/4 (x) Z/6 = Tor(Z/4, Z/6) = Z/2, at (4 + 4, 24) and one total degree
+    # higher, at (4 + 4 - 1, 24); each factor's entry is kept by the other's Z
+    assert product(x, y) == {(0, 0): G(1), (4, 12): G(0, 4, 6),
+                             (8, 24): G(0, 2), (7, 24): G(0, 2)}
+    # coprime torsion: both products vanish, and no zero entry is kept
+    assert product(unit_and(((4, 12), G(0, 2))), unit_and(((5, 14), G(0, 3)))) == {
+        (0, 0): G(1), (4, 12): G(0, 2), (5, 14): G(0, 3)}
+    assert product(unit_and(((1, 4), G(1))), unit_and(((4, 12), G(0, 3))))[5, 16] == G(0, 3)
+    assert product(unit_and(((1, 4), G(2))), unit_and(((1, 4), G(3))))[2, 8] == G(6)
+    both = product(unit_and(((1, 4), G(1, 2))), unit_and(((4, 12), G(0, 2))))
+    assert (both[5, 16], both[4, 16]) == (G(0, 2, 2), G(0, 2))
+    # the unit table is the identity, on either side
+    assert product(unit_and(), x) == x == product(x, unit_and())
+    # S^0 * S^0 = C_4: Z_K of two points is S^3, and S^3 x S^3 is Z_{C_4}
+    s0 = unit_and(((1, 4), G(1)))
+    assert product(s0, s0) == {(0, 0): G(1), (1, 4): G(2), (2, 8): G(1)}
+    assert product(s0, s0) == bigraded_homology_Z(cycle(4)).entries
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(complexes(max_m=5), complexes(max_m=5))
-def test_join_groups_match_homology_of_the_joined_complex(X, Y):
-    expected = list(reduced_homology(joined(X, Y)))
-    while expected and expected[-1].is_zero:
-        expected.pop()
-    got = homology._join_groups(tuple(reduced_homology(X)), tuple(reduced_homology(Y)))
-    assert got == tuple(expected)
+def test_product_matches_the_table_of_the_joined_complex(X, Y):
+    got = homology._product(unfactored(X).entries, unfactored(Y).entries)
+    assert got == unfactored(joined(X, Y)).entries
 
 
 # -- factored tables against the unfactored walk ------------------------------------
@@ -216,20 +220,21 @@ def test_factored_tables_on_drawn_joins(parts):
 def test_rp2_join_rp2_torsion_from_tensor_and_tor():
     K = rp2_join_rp2()
     assert_matches_unfactored(K)
-    groups, table = homology_R_and_Z(K)
+    table = bigraded_homology_Z(K)
     # the whole vertex set: Z/2 in H~_3 from (x), at i = 12 - 3 - 1, and Z/2
     # in H~_4 from Tor, at i = 12 - 4 - 1
     assert table.entry(8, 24) == G(0, 2)
     assert table.entry(7, 24) == G(0, 2)
-    assert any(g.torsion for g in groups)
+    # in H_*(R_K) the Tor entry stands alone: (7, 24) is the only entry at j - i = 5
+    assert table.R(5) == G(0, 2) and table.R(2) == G(62, 2, 2)
 
 
 def test_cross_polytope_boundaries():
     for k in range(1, 9):
         K = cross_polytope(k)
-        groups, table = homology_R_and_Z(K)
+        table = bigraded_homology_Z(K)
         # R_K is the k-torus and Z_K the product of k three-spheres
-        assert groups == [HomologyGroup(comb(k, i)) for i in range(k + 1)]
+        assert table.homology_R() == [HomologyGroup(comb(k, i)) for i in range(k + 1)]
         assert table.entries == {(l, 4 * l): HomologyGroup(comb(k, l)) for l in range(k + 1)}
         if k <= 5:
             assert_matches_unfactored(K)
@@ -254,7 +259,7 @@ def subsets_walked(monkeypatch, K):
             for key, value in list(vars(module).items()):
                 if value is walk:
                     monkeypatch.setattr(module, key, wrapper)
-    homology_R_and_Z(K)
+    bigraded_homology_Z(K)
     monkeypatch.undo()
     return sum(walked)
 

@@ -213,24 +213,25 @@ def test_is_flag_matches_brute_force_missing_faces():
     corpus += random_complexes(7, 60) + [projective_plane(), square_broken_cone()]
     corpus += [square_partial_cone(), cycle(3)]
     for K in corpus:
-        expected = {f for f in brute_missing_faces(K) if len(f) >= 3}
+        # fewest vertices first, then by sorted label tuple
+        expected = sorted((tuple(sorted(f)) for f in brute_missing_faces(K) if len(f) >= 3),
+                          key=lambda f: (len(f), f))
         # rebuilt from its faces, so that the search runs rather than the
-        # missing faces that clique_complex sets
+        # missing faces that clique_complex sets, and rebuilt again with its
+        # faces inserted in the opposite order
         searched = SimplicialComplex(K.labels, K.face_masks)
-        for L in (K, searched):
-            assert {frozenset(L.labels_of(n)) for n in L.missing_faces} == expected
-            sizes = [n.bit_count() for n in L.missing_faces]
-            assert sizes == sorted(sizes)
+        reversed_ = SimplicialComplex(K.labels, frozenset(sorted(K.face_masks, reverse=True)))
+        for L in (K, searched, reversed_):
+            assert [L.labels_of(n) for n in L.missing_faces] == expected
             check = is_flag(L)
             assert bool(check) == (not expected)
-            if expected:  # one of the missing faces with the fewest vertices
-                assert frozenset(check.witness) in expected
-                assert len(check.witness) == min(map(len, expected))
+            if expected:
+                assert check.witness == expected[0]
         for mask in range(K.full_mask + 1):
             sub = K.induced(mask)
             assert "missing_faces" in vars(sub)  # handed down, not searched for
             rebuilt = SimplicialComplex(sub.labels, sub.face_masks)
-            assert set(sub.missing_faces) == set(rebuilt.missing_faces)
+            assert sub.missing_faces == rebuilt.missing_faces
 
 
 def test_clique_complex_examples():

@@ -8,7 +8,7 @@ import pytest
 from conftest import class_flag_complexes, unpruned_canonical_form
 from macx import classify, simplicial, sweep
 from macx.cli import main
-from macx.homology import homology_at, homology_R_and_Z
+from macx.homology import bigraded_homology_Z
 from macx.simplicial import CheckResult, SimplicialComplex, bits, classify_star_condition
 from macx.sweep import SweepConfig, SweepReport, graph_classes, run_sweep
 
@@ -134,14 +134,15 @@ def test_wrong_homological_verdicts_are_reported_with_their_homology(monkeypatch
     assert found and {c["check"] for c in found} == {check}
     cex = found[-1]  # a labelled square: its homology is not all zero
     K = SimplicialComplex.from_facets(cex["facets"], cex["n"])
-    groups, table = homology_R_and_Z(K)
+    table = bigraded_homology_Z(K)
     details = cex["details"]
-    assert details["H_R"] == [[k, g.free_rank, list(g.torsion)] for k, g in enumerate(groups)]
+    assert details["H_R"] == [[k, g.free_rank, list(g.torsion)]
+                              for k, g in enumerate(table.homology_R())]
     assert details["bigraded"] == [[i, j2, g.free_rank, list(g.torsion)]
                                    for (i, j2), g in table.items_sorted()]
     assert details["star"]["matches"] == bool(classify_star_condition(K))
     if detail == "h2":
-        assert details["h2"] == str(homology_at(groups, 2))
+        assert details["h2"] == str(table.R(2))
     if detail == "row_verdict":
         assert details["row_verdict"] is not true_route(K, table)
 
