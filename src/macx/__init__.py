@@ -3,9 +3,9 @@ over small simplicial complexes."""
 
 from .simplicial import (
     MAX_VERTICES,
-    CheckResult,
     SimplicialComplex,
     StarClassification,
+    chordless_cycle,
     classify_star_condition,
     clique_complex,
     find_induced_cycles,

@@ -31,9 +31,8 @@ class NonFlagError(ValueError):
 
 
 def _require_flag(K):
-    check = simplicial.is_flag(K)
-    if not check:
-        raise NonFlagError(f"complex is not flag; missing face {check.witness}")
+    if not simplicial.is_flag(K):
+        raise NonFlagError(f"complex is not flag; missing face {K.labels_of(K.missing_faces[0])}")
 
 
 def one_relator_group_homological(K, table):
@@ -148,17 +147,17 @@ def build_report(K, table):
     verdict and files the homological ones under witnesses. The group,
     algebra and Golod verdicts are None when K is not flag, since those
     classifiers refuse it."""
-    flag_check = simplicial.is_flag(K)
-    chordal_check = simplicial.is_chordal(K)
+    flag = simplicial.is_flag(K)
+    chordal = simplicial.is_chordal(K)
     star = simplicial.classify_star_condition(K)
     witnesses = {}
-    if flag_check.witness:
-        witnesses["missing_face"] = list(flag_check.witness)
-    if chordal_check.witness:
-        witnesses["chordless_cycle"] = list(chordal_check.witness)
+    if not flag:
+        witnesses["missing_face"] = list(K.labels_of(K.missing_faces[0]))
+    if not chordal:
+        witnesses["chordless_cycle"] = list(simplicial.chordless_cycle(K))
     report = {
-        "flag": bool(flag_check),
-        "chordal": bool(chordal_check),
+        "flag": flag,
+        "chordal": chordal,
         "star_condition": {"matches": star.matches, "p": star.p,
                            "cone_vertices": list(star.cone_vertices),
                            "reason": star.reason},
@@ -166,13 +165,13 @@ def build_report(K, table):
         "golod": None, "minimally_non_golod": None, "genus": None,
         "witnesses": witnesses,
     }
-    if not flag_check:
+    if not flag:
         return report
     report.update(
-        free_group=bool(chordal_check),
+        free_group=chordal,
         one_relator_group=bool(star),
         one_relator_algebra=bool(star),
-        golod=bool(chordal_check),
+        golod=chordal,
         minimally_non_golod=minimally_non_golod_flag(K),
         genus=surface_genus(star.p) if star else None,
     )

@@ -21,7 +21,9 @@ from the walk's own array. Otherwise J is a core and H~(K_J) comes from Smith
 form. For a flag complex, K_J is determined by J and the edges of the induced
 subgraph, so the homology of its cores is memoized across walks under that
 key, built for a core only; sweeps over all graphs on a few vertices share
-most of their cores. The memo holds at most ``MEMO_LIMIT`` entries.
+most of their cores. The memo holds at most ``MEMO_LIMIT`` entries. The walk
+returns table entries: the subsets are counted by size and groups, and each
+such pair is placed in the table once, its groups times its count.
 
 A join is walked one factor at a time. If K = K_A * K_B (see
 ``simplicial.join_factors``), then Z_K = Z_{K_A} x Z_{K_B} (Buchstaber and
@@ -349,15 +351,15 @@ def _dominated_bit(J, table):
 
 
 def _per_subset_groups(K):
-    """Reduced homology of the full subcomplexes, tallied: a dict mapping
-    (|J|, groups) to the number of nonempty subsets J whose K_J has those
-    reduced groups, for the groups with a nonzero entry. The empty subset is
-    omitted (its contribution is the fixed H~_{-1} = Z). Trailing zero groups
-    may be missing from a tuple.
+    """The bigraded table entries of H(Z_K) from one walk over the subsets J
+    of the vertex set: H~_deg(K_J) goes to (|J| - deg - 1, 2|J|), and the
+    empty subset's H~_{-1} = Z to (0, 0). A dict of the nonzero entries.
 
     Subsets are visited in increasing order, so J minus any vertex is done
     before J. A dominated vertex v gives H~(K_J) = H~(K_{J-v}); else J is a
     core and its faces go to Smith form, through the memo for a flag complex.
+    The walk keeps, per subset, the position of its groups among those met
+    so far, and each (|J|, position) is placed once with its count.
     """
     table = _domination_table(K)
     memo = None if K.missing_faces else _MEMO
@@ -379,14 +381,20 @@ def _per_subset_groups(K):
                 if len(memo) >= MEMO_LIMIT:
                     memo.clear()
                 memo[key] = groups
-        vals[J] = _position(groups, distinct, index)
+        i = index.get(groups)
+        if i is None:
+            i = index[groups] = len(distinct)
+            distinct.append(groups)
+        vals[J] = i
     sizes = map(int.bit_count, range(1, full + 1))
-    counts = Counter(zip(sizes, islice(vals, 1, None)))
-    return {
-        (size, distinct[i]): n
-        for (size, i), n in counts.items()
-        if any(not g.is_zero for g in distinct[i])
-    }
+    acc = {(0, 0): [1, []]}
+    for (j, i), n in Counter(zip(sizes, islice(vals, 1, None))).items():
+        for deg, g in enumerate(distinct[i]):
+            if not g.is_zero:
+                slot = acc.setdefault((j - deg - 1, 2 * j), [0, []])
+                slot[0] += n * g.free_rank
+                slot[1] += g.torsion * n
+    return {place: HomologyGroup.from_divisors(f, t) for place, (f, t) in acc.items()}
 
 
 def _core_key(J, adj):
@@ -396,14 +404,6 @@ def _core_key(J, adj):
     for t in bits(J):
         code |= (adj[t] & J & ((1 << t) - 1)) << (t * (t - 1) >> 1)
     return code << MAX_VERTICES | J
-
-
-def _position(groups, distinct, index):
-    i = index.get(groups)
-    if i is None:
-        i = index[groups] = len(distinct)
-        distinct.append(groups)
-    return i
 
 
 @dataclass
@@ -441,19 +441,6 @@ class BigradedTable:
         return [self.R(k) for k in range(self.dim + 2)]
 
 
-def _assemble_Z(tally):
-    """The table entries of a tally: H~_deg(K_J) goes to (|J| - deg - 1, 2|J|),
-    and the empty subset's H~_{-1} = Z to (0, 0)."""
-    acc = {(0, 0): [1, []]}
-    for (j, groups), n in tally.items():
-        for deg, g in enumerate(groups):
-            if not g.is_zero:
-                slot = acc.setdefault((j - deg - 1, 2 * j), [0, []])
-                slot[0] += n * g.free_rank
-                slot[1] += g.torsion * n
-    return {place: HomologyGroup.from_divisors(f, t) for place, (f, t) in acc.items()}
-
-
 def _product(first, second):
     """The entries of Z_K x Z_L from those of Z_K and Z_L by the Kuenneth
     formula: g (x) h lands at (i1 + i2, 2j1 + 2j2) and Tor(g, h), one total
@@ -478,7 +465,7 @@ def bigraded_homology_Z(K):
     from one walk per join factor of two or more vertices: Z_{K_A * K_B} =
     Z_{K_A} x Z_{K_B}, and a cone point's Z_K is a disc, so a simplex gets
     the unit table {(0, 0): Z}."""
-    tables = [_assemble_Z(_per_subset_groups(K.induced(mask)))
+    tables = [_per_subset_groups(K.induced(mask))
               for mask in join_factors(K) if mask & mask - 1]
     return BigradedTable(reduce(_product, tables) if tables else {(0, 0): Z_GROUP}, K.dim)
 

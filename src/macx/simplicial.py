@@ -13,6 +13,9 @@ A flag complex is fixed by its 1-skeleton, which a complex keeps as
 predicates (chordality, induced cycles) take a complex and read its
 adjacency, and ``clique_complex`` builds the flag complex of a graph given
 by its vertices and edges.
+
+The predicates return plain booleans. A failure's witness has its own
+source: the first of ``K.missing_faces``, or ``chordless_cycle(K)``.
 """
 
 from __future__ import annotations
@@ -60,33 +63,6 @@ def _normalize_labels(vertices):
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    """Boolean verdict with an optional witness (a sorted vertex tuple).
-
-    Truthiness follows the verdict, so ``if is_flag(K): ...`` reads naturally.
-    """
-
-    ok: bool
-    witness: tuple[int, ...] | None = None
-
-    def __bool__(self):
-        return self.ok
-
-
-class _ChordlessCycle(CheckResult):
-    """A failed chordality check; its witness, a chordless cycle, is found on
-    first read, so a caller that keeps only the verdict never pays for it."""
-
-    def __init__(self, K):
-        object.__setattr__(self, "ok", False)
-        object.__setattr__(self, "_complex", K)
-
-    @cached_property
-    def witness(self):
-        return _find_hole(self._complex)
-
-
-@dataclass(frozen=True)
 class StarClassification:
     """Outcome of testing whether a complex is a cycle joined with a simplex.
 
@@ -99,14 +75,6 @@ class StarClassification:
     p: int | None = None
     cone_vertices: tuple[int, ...] = ()
     reason: str | None = None
-
-    @classmethod
-    def match(cls, p, cone_vertices):
-        return cls(True, p, tuple(sorted(cone_vertices)))
-
-    @classmethod
-    def no_match(cls, reason):
-        return cls(False, reason=reason)
 
     def __bool__(self):
         return self.matches
@@ -315,10 +283,8 @@ def subset_sums(pieces, empty):
 
 
 def is_flag(K):
-    """Whether every missing face of K has exactly two vertices; the witness
-    of a failure is the first of ``K.missing_faces``, one of fewest vertices."""
-    missing = K.missing_faces
-    return CheckResult(False, K.labels_of(missing[0])) if missing else CheckResult(True)
+    """Whether K has no ``missing_faces``: every minimal non-face is an edge."""
+    return not K.missing_faces
 
 
 def _clique_extensions(adj, cliques):
@@ -365,10 +331,8 @@ def clique_complex(vertices, edges):
 
 def is_chordal(K):
     """Whether the 1-skeleton of K is chordal (every cycle of length >= 4 has
-    a chord). On failure the witness is a chordless cycle of length >= 4,
-    found when the witness is first read.
-    """
-    return CheckResult(True) if _chordal(K.adjacency) else _ChordlessCycle(K)
+    a chord); ``chordless_cycle`` finds a witness of a failure."""
+    return _chordal(K.adjacency)
 
 
 def _chordal(adj):
@@ -406,13 +370,14 @@ def is_minimally_non_chordal(K):
                for v in range(K.m))
 
 
-def _find_hole(K):
-    """A chordless cycle of length >= 4 in the 1-skeleton of K, not chordal.
+def chordless_cycle(K):
+    """The vertex labels, ascending, of a chordless cycle of length >= 4 in
+    the 1-skeleton of K, or None when K is chordal.
 
     For each vertex v and each non-adjacent pair u, w of its neighbours, a
     shortest u-w path avoiding the rest of N[v] closes up with v to a cycle
     with no chords (shortcuts would contradict path minimality). Any vertex
-    of a chordless cycle is such a v, so a cycle is always found."""
+    of a chordless cycle is such a v, so a cycle is found if there is one."""
     adj = K.adjacency
     for v in range(K.m):
         nv = adj[v]
@@ -424,8 +389,8 @@ def _find_hole(K):
                 allowed = (K.full_mask & ~(nv | (1 << v))) | (1 << u) | (1 << w)
                 path = _bfs_path(adj, u, w, allowed)
                 if path is not None:
-                    cycle = [v] + path
-                    return tuple(sorted(K.labels[i] for i in cycle))
+                    return tuple(sorted(K.labels[i] for i in [v] + path))
+    return None
 
 
 def _bfs_path(adj, src, dst, allowed):
@@ -488,9 +453,9 @@ def classify_star_condition(K):
     complete graph, so it is the join itself. Non-flag complexes never match.
     """
     if not is_flag(K):
-        return StarClassification.no_match(REASON_NOT_FLAG)
+        return StarClassification(False, reason=REASON_NOT_FLAG)
     universal = sum(f for f in join_factors(K) if not f & f - 1)
     rest = K.full_mask & ~universal
     if rest == 0 or not _induces_cycle(K.adjacency, rest):
-        return StarClassification.no_match(REASON_REMAINDER_NOT_CYCLE)
-    return StarClassification.match(rest.bit_count(), K.labels_of(universal))
+        return StarClassification(False, reason=REASON_REMAINDER_NOT_CYCLE)
+    return StarClassification(True, rest.bit_count(), K.labels_of(universal))

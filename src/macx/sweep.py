@@ -37,6 +37,8 @@ ALL_CHECKS = frozenset(
 _TALLIES = ("star_matches", "chordal", "h2_exactly_Z", "one_relator_row",
             "minimally_non_golod", "golod", "cycle_complexes")
 MAX_SWEEP_VERTICES = 9
+# Most worker processes a sweep starts: a larger MACX_THREADS is refused.
+MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -269,7 +271,7 @@ def _check_complex(cfg, n, mask, tallies, counterexamples):
     K = simplicial.clique_complex(n, [(u + 1, v + 1) for k, (u, v) in enumerate(_edge_list(n))
                                       if mask >> k & 1])
     star = simplicial.classify_star_condition(K)
-    chordal = bool(simplicial.is_chordal(K))
+    chordal = simplicial.is_chordal(K)
     tallies["star_matches"] += star.matches
     tallies["chordal"] += chordal
 
@@ -349,11 +351,14 @@ def _check_classes(cfg, n, classes):
 
 def workers_from_environment():
     """Worker count from the MACX_THREADS environment variable: 1 if unset or
-    empty, else a positive integer (ValueError otherwise)."""
+    empty, else an integer from 1 to MAX_WORKERS (ValueError otherwise)."""
     raw = os.environ.get("MACX_THREADS") or "1"
-    if not (raw.isascii() and raw.isdigit() and int(raw) >= 1):
+    digits = raw.lstrip("0")
+    if not (raw.isascii() and raw.isdigit() and digits):
         raise ValueError(f"MACX_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
+    if len(digits) > len(str(MAX_WORKERS)) or int(digits) > MAX_WORKERS:
+        raise ValueError(f"MACX_THREADS must be at most {MAX_WORKERS}, got {raw!r}")
+    return int(digits)
 
 
 def run_sweep(cfg, workers=None):
@@ -371,7 +376,7 @@ def run_sweep(cfg, workers=None):
     if workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor  # costly import, needed only here
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, MAX_WORKERS, len(jobs))) as pool:
             results = list(pool.map(_check_classes, *zip(*jobs)))
     else:
         results = [_check_classes(*job) for job in jobs]

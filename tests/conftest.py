@@ -334,6 +334,42 @@ def real_moment_angle_boundaries(K):
     return {k: len(c) for k, c in cells.items()}, matrices
 
 
+def moment_angle_chains(K):
+    """The cellular chain complex of Z_K, which shares no code with the subset
+    walk. Z_K is the union over the faces s of (D^2)^s x (S^1)^(rest), and
+    its cells are pairs (s, w): a disc coordinate on each vertex of the face
+    s, a circle coordinate on each vertex of w, disjoint from s, and the base
+    point elsewhere. A cell sits in bidegree (-|w|, 2|s + w|), and as the
+    disc's boundary is the circle, d(s, w) = sum over v in s of
+    (-1)^|w below v| (s - v, w + v) (Buchstaber and Panov, "Toric Topology",
+    ch. 4). Returns the cells by (i, j) = (|w|, |s + w|), and for each (i, j)
+    with cells in (i - 1, j) the dense matrix, as rows, of d from the cells
+    of (i - 1, j) to those of (i, j)."""
+    full = K.full_mask
+    blocks = {}
+    for s in K.face_masks:
+        rest = full & ~s
+        w = rest
+        while True:  # every submask of rest
+            blocks.setdefault((w.bit_count(), (s | w).bit_count()), []).append((s, w))
+            if not w:
+                break
+            w = (w - 1) & rest
+    matrices = {}
+    for (i, j), targets in blocks.items():
+        sources = blocks.get((i - 1, j))
+        if not sources:
+            continue
+        index = {c: r for r, c in enumerate(targets)}
+        rows = [[0] * len(sources) for _ in targets]
+        for col, (s, w) in enumerate(sources):
+            for v in bits(s):
+                sign = -1 if (w & ((1 << v) - 1)).bit_count() % 2 else 1
+                rows[index[s & ~(1 << v), w | 1 << v]][col] += sign
+        matrices[i, j] = rows
+    return blocks, matrices
+
+
 def euler_characteristic_real(K):
     """Euler characteristic of the real moment-angle complex by counting its
     cubical cells: a face I contributes 2^(m-|I|) cells of dimension |I|."""

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import os
@@ -13,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import component_search_words, cycle, nested_commutator_text, simplex
-from macx import cli, generators, homology, loop_algebra, simplicial
+from macx import cli, generators, homology, loop_algebra, simplicial, sweep
 from macx.cli import ComplexParseError, main, parse_complex_text
-from macx.simplicial import CheckResult, SimplicialComplex
+from macx.simplicial import SimplicialComplex
 
 PARTIAL_CONE = """\
 # 4-cycle with an apex over three of its vertices
@@ -433,33 +434,47 @@ def test_verify_theorems_rejects_ten_vertices(capsys):
     assert captured.err == "error: sweeps are supported for 1..9 vertices\n"
 
 
-@pytest.mark.parametrize("value", ["abc", "-3", "0", "2.5", " 2", "\u00b2"])
+@pytest.mark.parametrize("value", ["abc", "-3", "0", "2.5", " 2", "\u00b2", "65", "100000",
+                                   pytest.param("9" * 5000, id="5000-digits")])
 def test_verify_theorems_rejects_bad_thread_count(monkeypatch, capsys, value):
+    """A refused count starts no worker: a pool started here would raise."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setenv("MACX_THREADS", value)
     assert main(["verify-theorems", "--max-vertices", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"error: MACX_THREADS must be a positive integer, got {value!r}\n"
-    )
+    too_many = value.isascii() and value.isdigit() and value != "0"
+    bound = f"at most {sweep.MAX_WORKERS}" if too_many else "a positive integer"
+    assert captured.err == f"error: MACX_THREADS must be {bound}, got {value!r}\n"
+
+
+def sweep_stdout(monkeypatch, capsys, threads, argv):
+    if threads is None:
+        monkeypatch.delenv("MACX_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("MACX_THREADS", threads)
+    assert main(argv) == 0
+    return capsys.readouterr().out
 
 
 @pytest.mark.parametrize("value", [None, "", "1", "2"])
 def test_verify_theorems_thread_count_default_and_valid(monkeypatch, capsys, value):
-    if value is None:
-        monkeypatch.delenv("MACX_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("MACX_THREADS", value)
-    assert main(["verify-theorems", "--max-vertices", "3", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["complexes_checked"] == 11
+    """The worker count changes no byte of the report."""
+    out = sweep_stdout(monkeypatch, capsys, value, ["verify-theorems", "--max-vertices", "3",
+                                                     "--json"])
+    assert json.loads(out)["complexes_checked"] == 11
+    for dedup in ([], ["--iso-dedup"]):
+        argv = ["verify-theorems", "--max-vertices", "6", "--json", *dedup]
+        assert (sweep_stdout(monkeypatch, capsys, value, argv)
+                == sweep_stdout(monkeypatch, capsys, None, argv))
 
 
 def test_verify_theorems_counterexample_exit(monkeypatch, capsys):
     true_is_chordal = simplicial.is_chordal
-    monkeypatch.setattr(
-        simplicial, "is_chordal",
-        lambda g: CheckResult(not true_is_chordal(g).ok),
-    )
+    monkeypatch.setattr(simplicial, "is_chordal", lambda g: not true_is_chordal(g))
     rc = main(["verify-theorems", "--max-vertices", "3", "--checks", "chordal_free"])
     assert rc == 2
     assert "counterexamples" in capsys.readouterr().out

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import (
     cycle,
     euler_characteristic_real,
     join,
+    moment_angle_chains,
     projective_plane,
     random_complexes,
     rank_mod_p,
@@ -545,8 +547,7 @@ def _betti_from_groups(groups, p):
     return [g.free_rank + t(g) + (t(groups[k - 1]) if k else 0) for k, g in enumerate(groups)]
 
 
-FIELDS = [(0, rank_over_q), (2, lambda rows: rank_mod_p(rows, 2)),
-          (3, lambda rows: rank_mod_p(rows, 3))]
+FIELDS = [(0, rank_over_q)] + [(p, lambda rows, p=p: rank_mod_p(rows, p)) for p in (2, 3, 5)]
 
 
 def _convolve(a, b):
@@ -577,6 +578,61 @@ def test_homology_R_matches_the_cubical_chain_complex():
         for p, rank in FIELDS:
             assert _convolve(*(_betti_from_groups(homology_R(L), p) for L in (X, Y))) == (
                 _betti_from_groups(groups, p)), (p,)
+
+
+# -- H(Z_K) against the cellular chain complex ----------------------------------
+
+
+def _cellular_betti(K, rank):
+    """Bigraded Betti numbers of Z_K over a field, keyed (i, 2j) like the
+    table, from its cellular chain complex and a rank function over that
+    field; zeros are left out."""
+    blocks, matrices = moment_angle_chains(K)
+    ranks = {key: rank(rows) for key, rows in matrices.items()}
+    out = {}
+    for (i, j), cells in blocks.items():
+        if b := len(cells) - ranks.get((i, j), 0) - ranks.get((i + 1, j), 0):
+            out[i, 2 * j] = b
+    return out
+
+
+def _table_betti(table, p):
+    """The same numbers from the integral table: over F_p the Betti number at
+    (-i, 2j) is rank H_{-i,2j} + t_p(H_{-i,2j}) + t_p(H_{-i-1,2j}), where t_p
+    counts the cyclic summands whose order p divides (none over Q, p = 0)."""
+    out = Counter()
+    for (i, j2), g in table.entries.items():
+        t = sum(1 for d in g.torsion if p and d % p == 0)
+        out[i, j2] += g.free_rank + t
+        out[i - 1, j2] += t
+    return {key: b for key, b in out.items() if b}
+
+
+def test_bigraded_table_matches_the_cellular_chain_complex():
+    rp2 = projective_plane()
+    # RP^2_6 beside two points: (5, 14) = Z^6 + Z/2 + Z/2, the Z/2 from the
+    # two subsets RP^2_6 + one point
+    rp2_points = SimplicialComplex.from_facets(rp2.facets(), 8)
+    corpus = random_complexes(7, 20)
+    corpus += [rp2, cycle(4), cycle(5), square_broken_cone(), rp2_points]
+    for K in corpus:
+        table = bigraded_homology_Z(K)
+        for p, rank in FIELDS:
+            assert _cellular_betti(K, rank) == _table_betti(table, p), (K, p)
+    assert bigraded_homology_Z(rp2_points).entry(5, 14) == HomologyGroup(6, (2, 2))
+    # Z_{X * Y} = Z_X x Z_Y, and over a field the Kuenneth formula multiplies
+    # bigraded Poincare polynomials: this pins where the product of tables
+    # puts Tor, one total degree above the tensor product
+    rp2_again = SimplicialComplex.from_facets([[v + 6 for v in f] for f in rp2.facets()],
+                                              range(7, 13))
+    table = bigraded_homology_Z(join(rp2, rp2_again))
+    for p, rank in FIELDS:
+        factor = _cellular_betti(rp2, rank)
+        product = Counter()
+        for (i1, j1), a in factor.items():
+            for (i2, j2), b in factor.items():
+                product[i1 + i2, j1 + j2] += a * b
+        assert _table_betti(table, p) == product, p
 
 
 def _facet_dominated(K, J, v, w):

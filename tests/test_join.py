@@ -57,7 +57,7 @@ def rp2_join_rp2():
 def unfactored(K):
     """The bigraded table of H(Z_K) from one walk over all the subsets of K,
     with no join split."""
-    return BigradedTable(homology._assemble_Z(homology._per_subset_groups(K)), K.dim)
+    return BigradedTable(homology._per_subset_groups(K), K.dim)
 
 
 def assert_matches_unfactored(K):

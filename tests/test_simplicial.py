@@ -20,6 +20,7 @@ from macx import simplicial
 from macx.simplicial import (
     SimplicialComplex,
     bits,
+    chordless_cycle,
     classify_star_condition,
     clique_complex,
     components,
@@ -198,12 +199,16 @@ def test_adjacency_shapes():
     assert edge_count(simplex(3)) == 6
 
 
+def first_missing_face(K):
+    return K.labels_of(K.missing_faces[0])
+
+
 def test_is_flag_examples():
-    assert is_flag(square_partial_cone())
-    check = is_flag(square_broken_cone())
-    assert not check and check.witness == (1, 4, 5)
-    check = is_flag(cycle(3))
-    assert not check and check.witness == (1, 2, 3)
+    assert is_flag(square_partial_cone()) is True
+    K = square_broken_cone()
+    assert is_flag(K) is False and first_missing_face(K) == (1, 4, 5)
+    K = cycle(3)
+    assert is_flag(K) is False and first_missing_face(K) == (1, 2, 3)
     assert not is_flag(SimplicialComplex.from_facets(
         [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]], 4))  # boundary of a 3-simplex
 
@@ -223,10 +228,9 @@ def test_is_flag_matches_brute_force_missing_faces():
         reversed_ = SimplicialComplex(K.labels, frozenset(sorted(K.face_masks, reverse=True)))
         for L in (K, searched, reversed_):
             assert [L.labels_of(n) for n in L.missing_faces] == expected
-            check = is_flag(L)
-            assert bool(check) == (not expected)
+            assert is_flag(L) == (not expected)
             if expected:
-                assert check.witness == expected[0]
+                assert first_missing_face(L) == expected[0]
         for mask in range(K.full_mask + 1):
             sub = K.induced(mask)
             assert "missing_faces" in vars(sub)  # handed down, not searched for
@@ -295,7 +299,7 @@ def test_flag_iff_clique_complex_of_skeleton():
     corpus += [square_partial_cone(), square_cone(), square_broken_cone(), cycle(3)]
     for K in corpus:
         rebuilt = clique_complex(K.labels, edges(K))
-        assert (rebuilt == K) == bool(is_flag(K))
+        assert (rebuilt == K) == is_flag(K)
 
 
 # -- chordality and induced cycles -------------------------------------------
@@ -303,23 +307,25 @@ def test_flag_iff_clique_complex_of_skeleton():
 
 def test_is_chordal_examples():
     for p in range(4, 9):
-        check = is_chordal(cycle(p))
-        assert not check
-        assert check.witness == tuple(range(1, p + 1))
-    assert is_chordal(clique_complex(5, [(1, 2), (2, 3), (2, 4), (4, 5)]))  # tree
-    assert is_chordal(simplex(3))
-    check = is_chordal(square_partial_cone())
-    assert not check and check.witness == (1, 2, 3, 4)
+        assert is_chordal(cycle(p)) is False
+        assert chordless_cycle(cycle(p)) == tuple(range(1, p + 1))
+    assert is_chordal(clique_complex(5, [(1, 2), (2, 3), (2, 4), (4, 5)])) is True  # tree
+    assert is_chordal(simplex(3)) is True
+    assert is_chordal(square_partial_cone()) is False
+    assert chordless_cycle(square_partial_cone()) == (1, 2, 3, 4)
 
 
 def test_chordless_cycle_found_only_when_read(monkeypatch):
+    """The verdict never searches for a cycle; ``chordless_cycle`` does, and
+    on a chordal complex it finds none."""
     calls = []
-    find_hole = simplicial._find_hole
-    monkeypatch.setattr(simplicial, "_find_hole", lambda K: calls.append(K) or find_hole(K))
-    check = is_chordal(cycle(6))
-    assert not check and calls == []
-    assert check.witness == tuple(range(1, 7)) and len(calls) == 1
-    assert check.witness == tuple(range(1, 7)) and len(calls) == 1
+    find = simplicial.chordless_cycle
+    monkeypatch.setattr(simplicial, "chordless_cycle", lambda K: calls.append(K) or find(K))
+    assert is_chordal(cycle(6)) is False and calls == []
+    assert find(cycle(6)) == tuple(range(1, 7))
+    for K in (simplex(3), clique_complex(5, [(1, 2), (2, 3), (2, 4), (4, 5)]),
+              clique_complex(3, []), clique_complex(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])):
+        assert find(K) is None
 
 
 def test_find_induced_cycles_examples():
@@ -347,11 +353,12 @@ def test_find_induced_cycles_stops_at_the_first_hole(monkeypatch):
 def test_chordality_agrees_with_induced_cycle_scan_exhaustive():
     for n in range(1, 6):
         for K in all_flag_complexes(n):
-            check = is_chordal(K)
             holes = list(find_induced_cycles(K))
-            assert bool(check) == (not holes)
+            assert is_chordal(K) == (not holes)
             if holes:
-                assert check.witness in holes
+                assert chordless_cycle(K) in holes
+            else:
+                assert chordless_cycle(K) is None
 
 
 def test_chordality_agrees_on_random_graphs():
@@ -361,7 +368,7 @@ def test_chordality_agrees_on_random_graphs():
         for _ in range(200):
             chosen = [e for e in pairs if rng.random() < 0.45]
             K = clique_complex(n, chosen)
-            assert bool(is_chordal(K)) == (not list(find_induced_cycles(K)))
+            assert is_chordal(K) == (not list(find_induced_cycles(K)))
 
 
 def _networkx_corpus(nx):
@@ -388,15 +395,14 @@ def test_graph_predicates_against_networkx():
     for G, K in _networkx_corpus(nx):
         count += 1
         chordal = nx.is_chordal(G)
-        check = is_chordal(K)
-        assert bool(check) == chordal, K
+        assert is_chordal(K) == chordal, K
         holes = list(find_induced_cycles(K))
         assert len(set(holes)) == len(holes)
         assert set(holes) == {tuple(sorted(c)) for c in nx.chordless_cycles(G) if len(c) >= 4}
         minimal = not chordal and all(nx.is_chordal(G.subgraph(set(G) - {v})) for v in G)
         assert is_minimally_non_chordal(K) == minimal, K
-        if not check:
-            hole = G.subgraph(check.witness)
+        if not chordal:
+            hole = G.subgraph(chordless_cycle(K))
             assert len(hole) >= 4 and nx.is_connected(hole)
             assert all(d == 2 for _, d in hole.degree())
     assert count == 1 + 2 + 8 + 64 + 1024 + 156

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import random
 from itertools import combinations, permutations
@@ -9,7 +10,7 @@ from conftest import class_flag_complexes, unpruned_canonical_form
 from macx import classify, simplicial, sweep
 from macx.cli import main
 from macx.homology import bigraded_homology_Z
-from macx.simplicial import CheckResult, SimplicialComplex, bits, classify_star_condition
+from macx.simplicial import SimplicialComplex, bits, classify_star_condition
 from macx.sweep import SweepConfig, SweepReport, graph_classes, run_sweep
 
 A000088 = [1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668]  # graphs on n vertices
@@ -72,12 +73,7 @@ def test_sweep_small_is_clean():
 
 def test_sweep_detects_corrupted_classifier(monkeypatch):
     true_is_chordal = simplicial.is_chordal
-
-    def negated(graph):
-        verdict = true_is_chordal(graph)
-        return CheckResult(not verdict.ok, verdict.witness)
-
-    monkeypatch.setattr(simplicial, "is_chordal", negated)
+    monkeypatch.setattr(simplicial, "is_chordal", lambda g: not true_is_chordal(g))
     report = run_sweep(SweepConfig(max_vertices=4,
                                    checks=frozenset({"chordal_free", "flagmng"})))
     assert not report.ok
@@ -103,13 +99,36 @@ def test_worker_count_from_environment(monkeypatch):
     assert run_sweep(cfg) == baseline
 
 
+def test_worker_processes_are_bounded(monkeypatch):
+    """A sweep starts at most MAX_WORKERS processes, and no more than it
+    has jobs, whatever count its caller asks for; the pool here is a stand-in
+    that runs the jobs in this process."""
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    for n, jobs in [(4, 1 + 2 + 4 + 11), (6, 1 + 2 + 4 + 11 + 34 + 156)]:
+        cfg = SweepConfig(max_vertices=n, checks=frozenset({"chordal_free"}))
+        assert run_sweep(cfg, workers=10**6) == run_sweep(cfg, workers=1)
+        assert started.pop() == min(jobs, sweep.MAX_WORKERS)
+    assert started == []
+
+
 def test_counterexample_payload_reproduces(monkeypatch):
     # a counterexample record must carry facets plus homology tables
     true_is_chordal = simplicial.is_chordal
-    monkeypatch.setattr(
-        simplicial, "is_chordal",
-        lambda g: CheckResult(not true_is_chordal(g).ok),
-    )
+    monkeypatch.setattr(simplicial, "is_chordal", lambda g: not true_is_chordal(g))
     report = run_sweep(SweepConfig(max_vertices=4, checks=frozenset({"thm3", "flagmng"})))
     # thm3 is untouched by chordality, flagmng breaks; homology tables are
     # attached whenever the sweep computed them
@@ -357,8 +376,7 @@ def test_class_sweep_matches_labelled_oracle_on_six_vertices():
 @pytest.mark.parametrize("dedup", [False, True])
 def test_failing_classes_expand_like_the_oracle(monkeypatch, dedup):
     true_is_chordal = simplicial.is_chordal
-    monkeypatch.setattr(simplicial, "is_chordal",
-                        lambda g: CheckResult(not true_is_chordal(g).ok))
+    monkeypatch.setattr(simplicial, "is_chordal", lambda g: not true_is_chordal(g))
     cfg = SweepConfig(max_vertices=5, dedup_isomorphism=dedup,
                       checks=frozenset({"chordal_free", "flagmng"}))
     report = run_sweep(cfg, workers=1)
