@@ -245,9 +245,9 @@ def sparse_rank_invariants(columns):
 
 # Core homologies of flag complexes shared across subset walks, keyed by the
 # vertex set and its induced edges (see ``_core_key``). It is emptied when it
-# reaches MEMO_LIMIT entries. The sweeps store 121 cores at n <= 6, 771 at
-# n <= 7 and 11,442 for ``thm3`` at n <= 8; a ``thm3`` sweep to n = 9 fills
-# and empties it three times.
+# reaches MEMO_LIMIT entries. The sweeps, which walk only the open family,
+# store 82 cores at n <= 6, 215 at n <= 7, 658 for ``thm3`` at n <= 8 and
+# 2,402 for ``thm3`` at n = 9, so no sweep empties it.
 MEMO_LIMIT = 1 << 17
 _MEMO = {}
 

@@ -3,13 +3,38 @@
 Flag complexes on n labelled vertices are exactly the clique complexes of the
 2^(n(n-1)/2) labelled graphs. Each check pairs a combinatorial classifier with
 its homological counterpart and is invariant under relabelling, so one graph
-per isomorphism class is checked (``graph_classes``) and counted once per
-labelled graph in its class. A class with a mismatch is expanded to its
-labelled graphs, each recorded as a counterexample carrying enough data to
-reproduce it standalone. An empty counterexample list is the machine-checked
-form of the theorems.
+per isomorphism class is checked and counted once per labelled graph in its
+class. A class with a mismatch is expanded to its labelled graphs, each
+recorded as a counterexample carrying enough data to reproduce it standalone.
+An empty counterexample list is the machine-checked form of the theorems.
 
-The classes can be partitioned across worker processes (MACX_THREADS);
+Only the open family is checked. Call a checked class P closed when it is
+not chordal (``simplicial.chordless_cycle`` exhibits an induced cycle), does
+not match the cycle-join condition and gave no counterexample; else it is
+open. A graph G with a closed induced subgraph P needs no check:
+
+- G is not chordal, since P's induced cycle is induced in G;
+- G is not a cycle-join, since every induced subgraph of C_p * K_r is
+  chordal or a cycle-join;
+- so G's star, chordal, Golod, minimally non-Golod and cycle tallies are 0,
+  its ``chordal_free`` cross-check is settled by its cycle, and ``flagmng``
+  and ``vanishing`` have nothing to report;
+- H_2(R_P) = ⊕_{J ⊆ V(P)} H̃_1(P_J) is a direct summand of H_2(R_G), and so
+  is each entry of P's row H_{2-j,2j}(Z_P) of G's. P is not chordal, so
+  H_2(R_P) is not 0, and when ``thm3`` or ``thm5`` ran on P it is not Z (or
+  P would be a counterexample) and P's row fails. A summand of Z is 0 or Z,
+  so G's H_2(R_G) is not Z and G's row fails too: ``h2_exactly_Z`` and
+  ``one_relator_row`` are 0 at G, and neither check can fail there. When
+  neither check runs, those tallies read 0 throughout.
+
+``graph_classes`` grows the class of G from the class of G minus its
+canonical deletion vertex, an induced subgraph of G, which is open when G
+is. So growing level n from the open classes of level n-1 alone reaches
+every open class, and the closed classes it reaches are checked as well.
+``complexes_checked`` counts every complex, checked or not, by formula
+(``_class_count``).
+
+The checks of a level can be split across worker processes (MACX_THREADS);
 tallies merge by addition and counterexamples are sorted afterwards, so the
 report does not depend on the schedule.
 """
@@ -17,10 +42,12 @@ report does not depend on the schedule.
 from __future__ import annotations
 
 import os
+from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial, gcd, prod
 
 from . import classify, homology, simplicial
 from .simplicial import bits, subset_sums
@@ -157,21 +184,21 @@ def _first_split(cells):
 
 
 def _canonical_form(adj):
-    """(certificate, |Aut G|, generators of Aut G). The search tree refines,
-    then individualises each vertex of the first non-singleton cell in turn;
-    a leaf orders the vertices, and the certificate is the largest edge mask
-    over the leaves. The first path descends to a leaf. Walking back up it,
-    path node i tries one child per orbit of the automorphisms found so far
-    and searches the child's subtree only until a leaf has the first leaf's
-    edge mask. Mapping the first leaf's order to that leaf's is an
-    automorphism that fixes the first i path vertices and takes the i-th to
-    the child, so the rest of the subtree is its image of ground already
-    covered (McKay & Piperno, "Practical graph isomorphism, II", J. Symb.
-    Comput. 60, 2014). Every leaf mask of the tree is still seen, and by
-    orbit-stabiliser |Aut G| is the product over the path of the orbit of
-    its vertex under the automorphisms found at or below it. The generators
-    are permutations of the certificate's vertices: automorphisms of the
-    graph with that edge mask."""
+    """(canonical order, |Aut G|, generators of Aut G). The search tree
+    refines, then individualises each vertex of the first non-singleton cell
+    in turn; a leaf orders the vertices, and the canonical order is the leaf
+    order whose relabelled edge mask is largest (the certificate). The first
+    path descends to a leaf. Walking back up it, path node i tries one child
+    per orbit of the automorphisms found so far and searches the child's
+    subtree only until a leaf has the first leaf's edge mask. Mapping the
+    first leaf's order to that leaf's is an automorphism that fixes the
+    first i path vertices and takes the i-th to the child, so the rest of
+    the subtree is its image of ground already covered (McKay & Piperno,
+    "Practical graph isomorphism, II", J. Symb. Comput. 60, 2014). Every
+    leaf mask of the tree is still seen, and by orbit-stabiliser |Aut G| is
+    the product over the path of the orbit of its vertex under the
+    automorphisms found at or below it. The generators are automorphisms of
+    G, each a list of the images of its vertices."""
     n = len(adj)
     path = []
     cells = _refine(adj, [(1 << n) - 1], [(1 << n) - 1])
@@ -212,49 +239,92 @@ def _canonical_form(adj):
                     found.append(gamma)
                     break
         aut *= size[find(v)]
-    position = [0] * n
-    for p, v in enumerate(best_order):
-        position[v] = p
-    return best, aut, [[position[g[v]] for v in best_order] for g in found]
+    return best_order, aut, found
 
 
 def graph_classes(max_n):
-    """Yield, for n = 1..max_n, a dict from the canonical edge mask of each
-    isomorphism class of graphs on n vertices to |Aut G|. Deleting a vertex
-    of least degree leaves a graph on n-1 vertices, so the classes at n are
-    those at n-1 plus a vertex with each neighbourhood S that leaves it of
-    least degree, deduplicated by certificate (after McKay, "Isomorph-free
-    exhaustive generation", J. Algorithms 26, 1998). Neighbourhoods in one
-    orbit of Aut(parent) give isomorphic graphs, so one S per orbit is
-    tried, the orbits closed under the generators ``_canonical_form``
-    returned for the parent."""
-    level = {0: 1}
-    symmetries = {0: []}
-    yield level
-    for n in range(2, max_n + 1):
-        found, found_symmetries = {}, {}
-        for mask, generators in symmetries.items():
-            adj = _adjacency(n - 1, mask)
-            least = min(a.bit_count() for a in adj)
-            lowest = sum(1 << i for i, a in enumerate(adj) if a.bit_count() == least)
-            images = [subset_sums([1 << p for p in g], 0) for g in generators]
-            tried = bytearray(1 << (n - 1))
-            for S in range(1 << (n - 1)):
-                if tried[S] or S.bit_count() > least + (not lowest & ~S):
-                    continue
-                orbit = [S]
-                tried[S] = 1
-                for T in orbit:
-                    for image in images:
-                        if not tried[image[T]]:
-                            tried[image[T]] = 1
-                            orbit.append(image[T])
-                grown = [a | (S >> i & 1) << (n - 1) for i, a in enumerate(adj)]
-                cert, found[cert], cert_generators = _canonical_form(grown + [S])
-                if n < max_n:  # the last level has no children to try
-                    found_symmetries[cert] = cert_generators
-        level, symmetries = found, found_symmetries
-        yield level
+    """Yield, for n = 1..max_n, a dict from the edge mask of one graph of
+    each isomorphism class on n vertices, in the labelling it was grown in,
+    to |Aut G|. After each level the caller may ``send`` the masks of the
+    classes to grow; plain iteration grows them all.
+
+    The classes at n are grown from those at n-1 by canonical augmentation
+    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+    G = P + v adds a last vertex v with neighbourhood S, one S per orbit of
+    Aut P, the orbits closed under the generators ``_canonical_form``
+    returned for P. G is accepted only if v lies in the Aut G-orbit of its
+    canonical deletion vertex (``_children``). Isomorphic children then come
+    from one parent and one orbit of S, so each class at n is yielded once,
+    from the class of G minus its canonical deletion vertex."""
+    level = {0: (1, [])}  # mask -> (|Aut G|, generators, or None until needed)
+    for n in range(1, max_n + 1):
+        grow = yield {mask: aut for mask, (aut, _) in level.items()}
+        if n < max_n:
+            children = {}
+            for mask in level if grow is None else grow:
+                aut, generators = level[mask]
+                adj = _adjacency(n, mask)
+                if generators is None:
+                    generators = _canonical_form(adj)[2]
+                children.update(_children(adj, aut, generators))
+            level = children
+
+
+def _children(adj, aut, generators):
+    """The accepted one-vertex extensions of the graph ``adj`` on n vertices,
+    whose automorphism group has order ``aut`` and the given generators, as
+    (mask, (|Aut G|, generators or None)) on n + 1 vertices.
+
+    The canonical deletion vertex has least degree, so the new vertex v = n
+    must have least degree in G, which degrees alone decide. The canonical
+    deletion cell C of G is read off its refined unit partition,
+    which every automorphism preserves: among the cells of least degree, the
+    last singleton if there is one, else the last cell. G is rejected if v
+    is not in C. If C = {v}, Aut G fixes v and is the stabiliser of S in
+    Aut P, of order |Aut P| / |orbit of S|, and G is accepted. Otherwise G
+    is accepted iff v is in the Aut G-orbit of the first vertex of C in the
+    canonical order."""
+    n = len(adj)
+    least = min(a.bit_count() for a in adj)
+    lowest = sum(1 << i for i, a in enumerate(adj) if a.bit_count() == least)
+    images = [subset_sums([1 << p for p in g], 0) for g in generators]
+    full = (1 << n + 1) - 1
+    tried = bytearray(1 << n)
+    for S in range(1 << n):
+        fewest = least + (not lowest & ~S)  # the least degree in G of P's vertices
+        if tried[S] or S.bit_count() > fewest:
+            continue
+        orbit = _orbit(S, images)
+        for T in orbit:
+            tried[T] = 1
+        grown = [a | (S >> i & 1) << n for i, a in enumerate(adj)] + [S]
+        if S.bit_count() < fewest:  # v alone is of least degree
+            cell = 1 << n
+        else:
+            low = [c for c in _refine(grown, [full], [full])
+                   if grown[c.bit_length() - 1].bit_count() == fewest]
+            cell = next((c for c in reversed(low) if not c & c - 1), low[-1])
+        if not cell >> n & 1:
+            continue
+        mask = _relabelled_mask(grown, range(n + 1))
+        if cell == 1 << n:
+            yield mask, (aut // len(orbit), None)
+            continue
+        order, child_aut, child_generators = _canonical_form(grown)
+        if n in _orbit(next(w for w in order if cell >> w & 1), child_generators):
+            yield mask, (child_aut, child_generators)
+
+
+def _orbit(x, maps):
+    """The orbit of x under the group the maps generate, each a list of
+    images (of subsets or of vertices), in the order it is reached."""
+    orbit, seen = [x], {x}
+    for y in orbit:
+        for image in maps:
+            if image[y] not in seen:
+                seen.add(image[y])
+                orbit.append(image[y])
+    return orbit
 
 
 def _adjacency(n, mask):
@@ -267,7 +337,35 @@ def _adjacency(n, mask):
     return adj
 
 
+def _class_count(n):
+    """The number of isomorphism classes of graphs on n vertices (OEIS
+    A000088), by Burnside's lemma over S_n acting on the vertex pairs: a
+    permutation whose cycles have lengths l_1, l_2, ... has
+    sum floor(l_i / 2) + sum_{i<j} gcd(l_i, l_j) cycles on the pairs, and
+    n! / z of the n! permutations share its cycle type, z being the product
+    of the l_i and of the factorials of the multiplicities."""
+    total = 0
+    for lengths in _partitions(n, n):
+        cycles = (sum(l // 2 for l in lengths)
+                  + sum(gcd(a, b) for a, b in combinations(lengths, 2)))
+        z = prod(lengths) * prod(factorial(c) for c in Counter(lengths).values())
+        total += factorial(n) // z << cycles
+    return total // factorial(n)
+
+
+def _partitions(n, most):
+    """The partitions of n into parts of at most ``most``, parts descending."""
+    if n == 0:
+        yield ()
+    for part in range(min(n, most), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
 def _check_complex(cfg, n, mask, tallies, counterexamples):
+    """Check the clique complex of one labelled graph, adding to the tallies
+    and the counterexamples. Return whether the graph is chordal or a
+    cycle-join, short of a chordless cycle that shows it is neither."""
     K = simplicial.clique_complex(n, [(u + 1, v + 1) for k, (u, v) in enumerate(_edge_list(n))
                                       if mask >> k & 1])
     star = simplicial.classify_star_condition(K)
@@ -315,7 +413,8 @@ def _check_complex(cfg, n, mask, tallies, counterexamples):
         is_long_cycle = cycle_len is not None and cycle_len >= 4
         tallies["cycle_complexes"] += is_long_cycle
         cones = sum(f for f in simplicial.join_factors(K) if not f & f - 1)
-        core_mng = simplicial.is_minimally_non_chordal(K.induced(K.full_mask & ~cones))
+        core_mng = (simplicial.is_minimally_non_chordal(K.induced(K.full_mask & ~cones))
+                    if cones else mng)  # with no cone vertex K is its own core
         if star.matches != core_mng:
             report(CHECK_FLAGMNG, kind="cycle_join_vs_core_mng", core_mng=core_mng)
         if mng != is_long_cycle:
@@ -325,20 +424,22 @@ def _check_complex(cfg, n, mask, tallies, counterexamples):
         if chordal != (next(simplicial.find_induced_cycles(K), None) is None):
             report(CHECK_CHORDAL_FREE, holes=[list(h) for h in simplicial.find_induced_cycles(K)])
 
+    return bool(star.matches or chordal or simplicial.chordless_cycle(K) is None)
+
 
 def _check_classes(cfg, n, classes):
     """Check one mask per (mask, |Aut|) class and weight its tallies by the
     class size, n!/|Aut| (1 with dedup). A class with a counterexample is
     expanded to its orbit, and every mask of it (the least, with dedup) is
-    checked and reported as the labelled sweep would report it."""
+    checked and reported as the labelled sweep would report it. Return the
+    tallies, the counterexamples and the masks of the open classes."""
     tallies = dict.fromkeys(_TALLIES, 0)
-    counterexamples = []
-    checked = 0
+    counterexamples, open_masks = [], []
     for mask, aut in classes:
         own, found = dict.fromkeys(_TALLIES, 0), []
-        _check_complex(cfg, n, mask, own, found)
+        if _check_complex(cfg, n, mask, own, found) or found:
+            open_masks.append(mask)
         weight = 1 if cfg.dedup_isomorphism else factorial(n) // aut
-        checked += weight
         for key, val in own.items():
             tallies[key] += weight * val
         if found:
@@ -346,7 +447,7 @@ def _check_classes(cfg, n, classes):
             orbit = sorted({_relabelled_mask(adj, p) for p in permutations(range(n))})
             for labelled in orbit[:1] if cfg.dedup_isomorphism else orbit:
                 _check_complex(cfg, n, labelled, dict.fromkeys(_TALLIES, 0), counterexamples)
-    return checked, tallies, counterexamples
+    return tallies, counterexamples, open_masks
 
 
 def workers_from_environment():
@@ -363,28 +464,35 @@ def workers_from_environment():
 
 def run_sweep(cfg, workers=None):
     """Run the configured checks over every flag complex on 1..max_vertices
-    vertices, by isomorphism class (see ``_check_classes``). Worker count
-    defaults to ``workers_from_environment()``; results are
-    schedule-independent."""
+    vertices: level by level, the classes grown from the open classes of
+    the level below are checked (see ``_check_classes``), and their open
+    classes are sent back to ``graph_classes`` to grow the next level. The
+    worker count defaults to ``workers_from_environment()``; one pool of at
+    most that many processes is started at the first level with as many
+    jobs, and results are schedule-independent."""
     if workers is None:
         workers = workers_from_environment()
-    jobs = []
-    for n, classes in enumerate(graph_classes(cfg.max_vertices), start=1):
-        reps = sorted(classes.items())
-        step = -(-len(reps) // (4 * workers))
-        jobs.extend((cfg, n, reps[lo:lo + step]) for lo in range(0, len(reps), step))
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # costly import, needed only here
+    size = min(workers, MAX_WORKERS)
+    tallies, counterexamples = dict.fromkeys(_TALLIES, 0), []
+    classes = graph_classes(cfg.max_vertices)
+    grow, pool = None, None
+    with ExitStack() as stack:
+        for n in range(1, cfg.max_vertices + 1):
+            reps = sorted(classes.send(grow).items())
+            step = -(-len(reps) // (4 * workers))
+            jobs = [(cfg, n, reps[lo:lo + step]) for lo in range(0, len(reps), step)]
+            if pool is None and size > 1 and len(jobs) >= size:
+                from concurrent.futures import ProcessPoolExecutor  # costly import, needed only here
 
-        with ProcessPoolExecutor(max_workers=min(workers, MAX_WORKERS, len(jobs))) as pool:
-            results = list(pool.map(_check_classes, *zip(*jobs)))
-    else:
-        results = [_check_classes(*job) for job in jobs]
-    checked, tallies, counterexamples = 0, dict.fromkeys(_TALLIES, 0), []
-    for part_checked, part_tallies, part_cex in results:
-        checked += part_checked
-        for key, val in part_tallies.items():
-            tallies[key] += val
-        counterexamples.extend(part_cex)
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=size))
+            grow = []
+            for part_tallies, part_cex, part_open in (pool.map if pool else map)(
+                    _check_classes, *zip(*jobs)):
+                for key, val in part_tallies.items():
+                    tallies[key] += val
+                counterexamples.extend(part_cex)
+                grow.extend(part_open)
     counterexamples.sort(key=lambda c: (c.n, c.graph_mask, c.check))
+    count = _class_count if cfg.dedup_isomorphism else lambda k: 1 << comb(k, 2)
+    checked = sum(count(k) for k in range(1, cfg.max_vertices + 1))
     return SweepReport(cfg, checked, counterexamples, tallies)

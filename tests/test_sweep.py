@@ -1,19 +1,20 @@
 import concurrent.futures
 import json
 import random
+from collections import Counter
 from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
 
 from conftest import class_flag_complexes, unpruned_canonical_form
-from macx import classify, simplicial, sweep
+from macx import classify, homology, simplicial, sweep
 from macx.cli import main
 from macx.homology import bigraded_homology_Z
 from macx.simplicial import SimplicialComplex, bits, classify_star_condition
 from macx.sweep import SweepConfig, SweepReport, graph_classes, run_sweep
 
-A000088 = [1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668]  # graphs on n vertices
+A000088 = [1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168]  # graphs on n vertices
 
 
 def test_isomorphism_class_counts():
@@ -100,9 +101,11 @@ def test_worker_count_from_environment(monkeypatch):
 
 
 def test_worker_processes_are_bounded(monkeypatch):
-    """A sweep starts at most MAX_WORKERS processes, and no more than it
-    has jobs, whatever count its caller asks for; the pool here is a stand-in
-    that runs the jobs in this process."""
+    """A sweep starts at most one pool, of at most MAX_WORKERS processes,
+    and only at a level with at least as many jobs, whatever count its
+    caller asks for; the pool here is a stand-in that runs the jobs in this
+    process. With checks for n <= 6 the levels hold 1, 2, 4, 11, 34 and 123
+    classes, one job each when the workers outnumber them."""
     started = []
 
     class InlinePool:
@@ -118,11 +121,11 @@ def test_worker_processes_are_bounded(monkeypatch):
         map = staticmethod(map)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    for n, jobs in [(4, 1 + 2 + 4 + 11), (6, 1 + 2 + 4 + 11 + 34 + 156)]:
+    for n, workers, pools in [(4, 10**6, []), (6, 10**6, [sweep.MAX_WORKERS]), (4, 3, [3])]:
         cfg = SweepConfig(max_vertices=n, checks=frozenset({"chordal_free"}))
-        assert run_sweep(cfg, workers=10**6) == run_sweep(cfg, workers=1)
-        assert started.pop() == min(jobs, sweep.MAX_WORKERS)
-    assert started == []
+        assert run_sweep(cfg, workers=workers) == run_sweep(cfg, workers=1)
+        assert started == pools
+        started.clear()
 
 
 def test_counterexample_payload_reproduces(monkeypatch):
@@ -185,9 +188,35 @@ def test_report_json_shape():
 
 
 def test_class_counts_and_orbit_sizes():
+    # the classes are pairwise non-isomorphic (distinct certificates), and the
+    # |Aut G| of a class accepted without a canonical form is the search's
     for n, classes in enumerate(graph_classes(8), start=1):
-        assert len(classes) == A000088[n]
+        assert len(classes) == A000088[n] == sweep._class_count(n)
         assert sum(factorial(n) // aut for aut in classes.values()) == 2 ** comb(n, 2)
+        certificates = set()
+        for mask, aut in classes.items():
+            adj = sweep._adjacency(n, mask)
+            order, search_aut, _ = sweep._canonical_form(adj)
+            assert aut == search_aut
+            certificates.add(sweep._relabelled_mask(adj, order))
+        assert len(certificates) == len(classes)
+
+
+def test_class_count_formula_matches_a000088():
+    assert [sweep._class_count(n) for n in range(1, 11)] == A000088[1:]
+
+
+def test_growing_only_sent_classes():
+    # sending a level's masks back grows those classes alone: grown from the
+    # edge, level three holds the graphs with one, two and three edges, and
+    # lacks the edge-free graph, whose one parent is the edge-free pair
+    classes = graph_classes(3)
+    assert next(classes) == {0: 1}
+    two = classes.send(None)
+    edge = next(mask for mask in two if mask)
+    three = classes.send([edge])
+    assert sorted(mask.bit_count() for mask in three) == [1, 2, 3]
+    assert sum(factorial(3) // aut for aut in three.values()) == 3 + 3 + 1
 
 
 def _edge_set(n, mask):
@@ -213,14 +242,16 @@ def _group_order(n, generators):
 
 
 def _check_form(n, mask):
-    """Check _canonical_form on one labelled graph: its generators are
-    automorphisms of the certificate graph and, up to 7 vertices, the
-    certificate and |Aut G| are the unpruned search's and the generators
-    generate a group of order |Aut G|. Return the form."""
+    """Check _canonical_form on one labelled graph: its order is a
+    permutation, its generators are automorphisms of the graph and, up to 7
+    vertices, the certificate (the edge mask in canonical order) and |Aut G|
+    are the unpruned search's and the generators generate a group of order
+    |Aut G|. Return (certificate, |Aut G|, generators)."""
     adj = sweep._adjacency(n, mask)
-    cert, aut, generators = sweep._canonical_form(adj)
-    edges = _edge_set(n, cert)
-    assert len(edges) == mask.bit_count()
+    order, aut, generators = sweep._canonical_form(adj)
+    assert sorted(order) == list(range(n))
+    cert = sweep._relabelled_mask(adj, order)
+    edges = _edge_set(n, mask)
     for g in generators:
         assert sorted(g) == list(range(n)) and _is_automorphism(edges, g), (n, mask, g)
     if n <= 7:
@@ -250,7 +281,7 @@ def test_certificate_is_invariant_under_relabelling():
                 perm = rng.sample(range(n), n)
                 moved = sum(1 << pairs.index(tuple(sorted((perm[u], perm[v]))))
                             for u, v in (tuple(e) for e in _edge_set(n, mask)))
-                assert sweep._canonical_form(sweep._adjacency(n, moved))[:2] == form[:2]
+                assert _check_form(n, moved)[:2] == form[:2]
 
 
 NINE_VERTEX_GRAPHS = {  # name: (adjacency rule on 0..8, |Aut G|)
@@ -387,3 +418,71 @@ def test_failing_classes_expand_like_the_oracle(monkeypatch, dedup):
         assert all(_least_mask(n, mask) == mask for n, mask in masks)
     else:
         assert len(masks) == 1 + 2 + 8 + 64 + 1024
+
+
+# -- the open family against the unpruned sweep ------------------------------
+
+
+def _summand(small, big):
+    """Whether ``small`` fits in ``big`` as a direct summand can: no larger
+    free rank, and its primary torsion factors among those of ``big``."""
+    def primary(g):
+        return Counter(p ** e for d in g.torsion for p, e in homology._factorize(d).items())
+    return small.free_rank <= big.free_rank and not primary(small) - primary(big)
+
+
+def _open(K):
+    return simplicial.is_chordal(K) or classify_star_condition(K).matches
+
+
+def test_pruning_lemmas_on_every_vertex_deletion():
+    """For every class G on at most six vertices and every vertex v, with
+    P = G - v: if P is neither chordal nor a cycle-join, neither is G; and
+    H_2(R_P) and every bigraded entry of P fit in G's as summands."""
+    closed_pairs = 0
+    for n in range(2, 7):
+        for G in class_flag_complexes(n):
+            table = bigraded_homology_Z(G)
+            for v in range(n):
+                P = G.induced(G.full_mask & ~(1 << v))
+                if not _open(P):
+                    closed_pairs += 1
+                    assert not _open(G) and simplicial.chordless_cycle(G) is not None
+                part = bigraded_homology_Z(P)
+                assert _summand(part.R(2), table.R(2))
+                for (i, j2), g in part.entries.items():
+                    assert _summand(g, table.entry(i, j2)), (G.facets(), v, i, j2)
+    assert closed_pairs > 0
+
+
+def test_induced_subgraphs_of_cycle_joins_are_open():
+    for p in range(4, 8):
+        for r in range(8 - p):
+            ring = [(i, i % p + 1) for i in range(1, p + 1)]
+            cone = [(u, w) for w in range(p + 1, p + r + 1) for u in range(1, w)]
+            K = simplicial.clique_complex(p + r, ring + cone)
+            assert classify_star_condition(K).matches
+            assert all(_open(K.induced(mask)) for mask in range(1, K.full_mask + 1))
+
+
+def _unpruned_sweep(cfg):
+    """The second oracle: every class of ``graph_classes`` checked, none
+    pruned, and the classes counted as they are checked."""
+    tallies = dict.fromkeys(sweep._TALLIES, 0)
+    counterexamples = []
+    checked = 0
+    for n, classes in enumerate(graph_classes(cfg.max_vertices), start=1):
+        part_tallies, part_cex, _ = sweep._check_classes(cfg, n, sorted(classes.items()))
+        for key, val in part_tallies.items():
+            tallies[key] += val
+        counterexamples.extend(part_cex)
+        checked += len(classes) if cfg.dedup_isomorphism else 2 ** comb(n, 2)
+    counterexamples.sort(key=lambda c: (c.n, c.graph_mask, c.check))
+    return SweepReport(cfg, checked, counterexamples, tallies)
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+@pytest.mark.parametrize("checks", [{c} for c in sorted(sweep.ALL_CHECKS)] + [sweep.ALL_CHECKS])
+def test_open_family_sweep_matches_the_unpruned_sweep(checks, dedup):
+    cfg = SweepConfig(max_vertices=7, dedup_isomorphism=dedup, checks=frozenset(checks))
+    assert _json(run_sweep(cfg, workers=1)) == _json(_unpruned_sweep(cfg))
