@@ -8,7 +8,6 @@ from .simplicial import (
     chordless_cycle,
     classify_star_condition,
     clique_complex,
-    find_induced_cycles,
     is_chordal,
     is_cycle,
     is_flag,

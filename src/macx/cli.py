@@ -291,7 +291,8 @@ def _parse_pairs_spec(spec):
 
 
 def cmd_poincare(args):
-    M = loop_algebra.mcgavran(args.cycle) if args.cycle else _parse_pairs_spec(args.pairs)
+    M = (loop_algebra.mcgavran(args.cycle) if args.cycle is not None
+         else _parse_pairs_spec(args.pairs))
     n = args.truncate
     rows = [("closed", loop_algebra.poincare_series_closed(M, n))]
     if args.oracle:

@@ -412,17 +412,6 @@ def _bfs_path(adj, src, dst, allowed):
     return None
 
 
-def find_induced_cycles(K):
-    """Yield the vertex subsets on which the 1-skeleton of K induces a cycle
-    of length >= 4, as sorted label tuples, in increasing mask order (brute
-    force over subsets; fine at desk scale). Lazy, so asking whether one
-    exists stops at the first."""
-    adj = K.adjacency
-    for mask in range(1, K.full_mask + 1):
-        if mask.bit_count() >= 4 and _induces_cycle(adj, mask):
-            yield tuple(sorted(K.labels[i] for i in bits(mask)))
-
-
 def _induces_cycle(adj, mask):
     for i in bits(mask):
         if (adj[i] & mask).bit_count() != 2:

@@ -7,6 +7,10 @@ per isomorphism class is checked and counted once per labelled graph in its
 class. A class with a mismatch is expanded to its labelled graphs, each
 recorded as a counterexample carrying enough data to reproduce it standalone.
 An empty counterexample list is the machine-checked form of the theorems.
+The ``chordal_free`` check pits maximum cardinality search
+(``simplicial.is_chordal``) against the breadth-first search for a chordless
+cycle (``simplicial.chordless_cycle``), which is made at most once per class
+and also decides whether the class is closed.
 
 Only the open family is checked. Call a checked class P closed when it is
 not chordal (``simplicial.chordless_cycle`` exhibits an induced cycle), does
@@ -420,11 +424,12 @@ def _check_complex(cfg, n, mask, tallies, counterexamples):
         if mng != is_long_cycle:
             report(CHECK_FLAGMNG, kind="mng_vs_cycle", mng=mng, cycle=cycle_len)
 
-    if CHECK_CHORDAL_FREE in cfg.checks:
-        if chordal != (next(simplicial.find_induced_cycles(K), None) is None):
-            report(CHECK_CHORDAL_FREE, holes=[list(h) for h in simplicial.find_induced_cycles(K)])
+    cycle = (simplicial.chordless_cycle(K)
+             if CHECK_CHORDAL_FREE in cfg.checks or not (star.matches or chordal) else None)
+    if CHECK_CHORDAL_FREE in cfg.checks and chordal != (cycle is None):
+        report(CHECK_CHORDAL_FREE, chordless_cycle=None if cycle is None else list(cycle))
 
-    return bool(star.matches or chordal or simplicial.chordless_cycle(K) is None)
+    return bool(star.matches or chordal or cycle is None)
 
 
 def _check_classes(cfg, n, classes):

@@ -523,6 +523,7 @@ MANY_TWOS = "4:" + ",".join(["2"] * 30_000)   # coefficients past 4,300 digits a
     ["generators", "{underscore}"],
     ["analyze", "{plus}"],
     ["analyze", "{arabic}", "--json"],
+    ["poincare", "--cycle", "0"],
 ])
 def test_every_failure_is_one_error_line(monkeypatch, tmp_path, capsys, argv):
     """Bad input and over-limit requests end in ``error: ...`` and exit 1 at

@@ -3,6 +3,8 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     IntMatrix,
@@ -34,6 +36,7 @@ from macx.homology import (
 from macx.simplicial import (
     SimplicialComplex,
     bits,
+    clique_complex,
 )
 
 Z = HomologyGroup(1)
@@ -633,6 +636,26 @@ def test_bigraded_table_matches_the_cellular_chain_complex():
             for (i2, j2), b in factor.items():
                 product[i1 + i2, j1 + j2] += a * b
         assert _table_betti(table, p) == product, p
+
+
+@st.composite
+def complexes(draw, max_m=7):
+    """Complexes on 2..max_m vertices: the clique complexes of drawn graphs,
+    or drawn lists of facets of two to four vertices, mostly not flag."""
+    m = draw(st.integers(2, max_m))
+    if draw(st.booleans()):
+        pairs = list(combinations(range(1, m + 1), 2))
+        return clique_complex(m, draw(st.lists(st.sampled_from(pairs), unique=True)))
+    facets = [f for k in (2, 3, 4) for f in combinations(range(1, m + 1), k)]
+    return SimplicialComplex.from_facets(draw(st.lists(st.sampled_from(facets), max_size=14)), m)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(complexes())
+def test_bigraded_table_matches_the_cellular_chain_complex_on_drawn_complexes(K):
+    table = bigraded_homology_Z(K)
+    for p, rank in FIELDS:
+        assert _cellular_betti(K, rank) == _table_betti(table, p), (K, p)
 
 
 def _facet_dominated(K, J, v, w):

@@ -24,7 +24,6 @@ from macx.simplicial import (
     classify_star_condition,
     clique_complex,
     components,
-    find_induced_cycles,
     is_chordal,
     is_cycle,
     is_flag,
@@ -328,32 +327,31 @@ def test_chordless_cycle_found_only_when_read(monkeypatch):
         assert find(K) is None
 
 
-def test_find_induced_cycles_examples():
-    assert list(find_induced_cycles(cycle(5))) == [(1, 2, 3, 4, 5)]
-    assert list(find_induced_cycles(clique_complex(4, [(1, 2), (2, 3), (3, 4)]))) == []
+def test_chordless_cycle_examples():
+    assert chordless_cycle(cycle(5)) == (1, 2, 3, 4, 5)
+    assert chordless_cycle(clique_complex(4, [(1, 2), (2, 3), (3, 4)])) is None
     # the partial cone has two induced squares: 1-2-3-4 and 1-4-3-5 (the
-    # second is what makes H_(-2,8) of its moment-angle complex have rank 2)
-    assert list(find_induced_cycles(square_partial_cone())) == [
-        (1, 2, 3, 4),
-        (1, 3, 4, 5),
-    ]
+    # second is what makes H_(-2,8) of its moment-angle complex have rank 2);
+    # the search returns the first, and the second once vertex 2 is gone
+    K = square_partial_cone()
+    assert chordless_cycle(K) == (1, 2, 3, 4)
+    assert chordless_cycle(K.induced(K.mask_of([1, 3, 4, 5]))) == (1, 3, 4, 5)
 
 
-def test_find_induced_cycles_stops_at_the_first_hole(monkeypatch):
-    # a square on 1..4 beside sixteen isolated vertices: mask 15 is the first hole
-    K = clique_complex(20, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    tested = []
-    induces_cycle = simplicial._induces_cycle
-    monkeypatch.setattr(simplicial, "_induces_cycle",
-                        lambda adj, mask: tested.append(mask) or induces_cycle(adj, mask))
-    assert next(find_induced_cycles(K)) == (1, 2, 3, 4)
-    assert tested == [15]
+def _networkx_holes(nx, K):
+    """The vertex sets of the chordless cycles of length >= 4 in the
+    1-skeleton of K, as sorted label tuples, found by networkx."""
+    G = nx.Graph()
+    G.add_nodes_from(K.labels)
+    G.add_edges_from(edges(K))
+    return {tuple(sorted(c)) for c in nx.chordless_cycles(G) if len(c) >= 4}
 
 
 def test_chordality_agrees_with_induced_cycle_scan_exhaustive():
+    nx = pytest.importorskip("networkx")
     for n in range(1, 6):
         for K in all_flag_complexes(n):
-            holes = list(find_induced_cycles(K))
+            holes = _networkx_holes(nx, K)
             assert is_chordal(K) == (not holes)
             if holes:
                 assert chordless_cycle(K) in holes
@@ -362,13 +360,16 @@ def test_chordality_agrees_with_induced_cycle_scan_exhaustive():
 
 
 def test_chordality_agrees_on_random_graphs():
+    nx = pytest.importorskip("networkx")
     rng = random.Random(20240811)
     for n in (6, 7):
         pairs = list(combinations(range(1, n + 1), 2))
         for _ in range(200):
             chosen = [e for e in pairs if rng.random() < 0.45]
             K = clique_complex(n, chosen)
-            assert is_chordal(K) == (not list(find_induced_cycles(K)))
+            holes = _networkx_holes(nx, K)
+            assert is_chordal(K) == (not holes)
+            assert (chordless_cycle(K) in holes) if holes else chordless_cycle(K) is None
 
 
 def _networkx_corpus(nx):
@@ -396,12 +397,14 @@ def test_graph_predicates_against_networkx():
         count += 1
         chordal = nx.is_chordal(G)
         assert is_chordal(K) == chordal, K
-        holes = list(find_induced_cycles(K))
-        assert len(set(holes)) == len(holes)
-        assert set(holes) == {tuple(sorted(c)) for c in nx.chordless_cycles(G) if len(c) >= 4}
+        holes = _networkx_holes(nx, K)
+        assert chordal == (not holes), K
         minimal = not chordal and all(nx.is_chordal(G.subgraph(set(G) - {v})) for v in G)
         assert is_minimally_non_chordal(K) == minimal, K
-        if not chordal:
+        if chordal:
+            assert chordless_cycle(K) is None
+        else:
+            assert chordless_cycle(K) in holes
             hole = G.subgraph(chordless_cycle(K))
             assert len(hole) >= 4 and nx.is_connected(hole)
             assert all(d == 2 for _, d in hole.degree())

@@ -138,6 +138,45 @@ def test_counterexample_payload_reproduces(monkeypatch):
     assert any(c.check == "flagmng" for c in report.counterexamples)
 
 
+@pytest.mark.parametrize("fake", [None, (1, 2, 3, 4)])
+def test_chordal_free_reports_a_broken_cycle_search(monkeypatch, fake):
+    """A cycle search that finds none, or the same cycle on every graph, is
+    caught by the chordal_free cross-check on every graph it gets wrong, and
+    each counterexample carries the cycle the search gave."""
+    monkeypatch.setattr(simplicial, "chordless_cycle", lambda K: fake)
+    report = run_sweep(SweepConfig(max_vertices=5, checks=frozenset({"chordal_free"})),
+                       workers=1)
+    found = report.counterexamples
+    assert found and {c.check for c in found} == {"chordal_free"}
+    assert all(c.details["chordless_cycle"] == (fake and list(fake)) for c in found)
+    assert all(c.details["chordal"] == (fake is not None) for c in found)
+    chordal = report.tallies["chordal"]
+    assert len(found) == (chordal if fake else report.complexes_checked - chordal)
+
+
+@pytest.mark.parametrize("checks", [{"thm3", "thm5", "vanishing"}, {"flagmng"},
+                                    {"chordal_free"}, sweep.ALL_CHECKS])
+def test_one_cycle_search_per_class(monkeypatch, checks):
+    """``_check_complex`` searches for a chordless cycle at most once, and
+    on a chordal graph or a cycle-join only when chordal_free is checked."""
+    searched, per_check = [], []
+    find, check = simplicial.chordless_cycle, sweep._check_complex
+    monkeypatch.setattr(simplicial, "chordless_cycle", lambda K: searched.append(K) or find(K))
+
+    def counted(*args):
+        before = len(searched)
+        open_ = check(*args)
+        per_check.append(len(searched) - before)
+        return open_
+
+    monkeypatch.setattr(sweep, "_check_complex", counted)
+    run_sweep(SweepConfig(max_vertices=6, checks=frozenset(checks)), workers=1)
+    assert set(per_check) == ({1} if "chordal_free" in checks else {0, 1})
+    if "chordal_free" not in checks:
+        assert not any(simplicial.is_chordal(K) or classify_star_condition(K).matches
+                       for K in searched)
+
+
 # check: (the homological route the sweep reads, the detail it reports)
 HOMOLOGICAL_ROUTES = {
     "thm3": ("one_relator_group_homological", "h2"),
